@@ -42,7 +42,6 @@ from .oracle import (
     simulate_beliefs,
 )
 from .planner import (
-    FeatureValueReport,
     StaticPlan,
     StationaryPlan,
     discounted_baseline_loss,
@@ -88,7 +87,6 @@ __all__ = [
     "ErrorSpec",
     "Exponential",
     "FeatureSubset",
-    "FeatureValueReport",
     "HeatmapResult",
     "InvalidInputError",
     "LearningDynamic",

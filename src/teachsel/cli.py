@@ -29,6 +29,7 @@ from .planner import (
 from .scenario import Scenario, load_scenario
 
 EVAL_STATIC_MAX_FEATURES = 12
+CSV_FLOAT = "%.15g"
 
 
 def format_subset(subset) -> str:
@@ -36,44 +37,88 @@ def format_subset(subset) -> str:
     return "+".join(str(i + 1) for i in sorted(subset))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
+def _csv_cells(column):
+    if not isinstance(column, np.ndarray):
+        return column
+    cells = column.tolist()
+    return map(CSV_FLOAT.__mod__, cells) if column.dtype.kind == "f" else cells
 
 
-def _write_csv(rows: list[dict], header: list[str]) -> str:
+def _write_csv(table: dict) -> str:
+    """CSV text of a table of named columns, header first.
+
+    Float arrays are written with 15 significant digits; any other column
+    as csv writes its cells: ``str(cell)``, with None as an empty cell.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in header])
+    writer.writerow(list(table))
+    writer.writerows(zip(*map(_csv_cells, table.values())))
     return buf.getvalue()
 
 
-def _emit(args, payload: dict, rows: list[dict], header: list[str]) -> None:
+def _optional_cells(values: list) -> list:
+    """CSV cells of a float column with gaps: None stays an empty cell."""
+    return [None if v is None else CSV_FLOAT % v for v in values]
+
+
+def _records(table: dict) -> list[dict]:
+    """The table's rows as JSON-ready dicts."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    return [dict(zip(table, row)) for row in zip(*columns)]
+
+
+def _json_cells(column) -> list[str]:
+    """JSON text of each cell, as ``json.dumps`` writes it."""
+    if isinstance(column, np.ndarray):
+        # Numbers and booleans never contain ", ", so the list's items split
+        # apart; json's own rule writes nan as NaN and inf as Infinity.
+        return json.dumps(column.tolist())[1:-1].split(", ")
+    return list(map(json.encoder.encode_basestring_ascii, column))
+
+
+def _json_with_rows(payload: dict, key: str, table: dict) -> str:
+    """``json.dumps({**payload, key: _records(table)}, indent=2) + "\\n"``,
+    built from the table's columns with one string template per row.
+
+    String columns are lists of str; `payload` and `table` are not empty.
+    """
+    head = json.dumps(payload, indent=2)
+    template = "    {\n%s\n    }" % ",\n".join(
+        f"      {json.encoder.encode_basestring_ascii(name)}: %s" for name in table
+    )
+    rows = ",\n".join(map(template.__mod__, zip(*map(_json_cells, table.values()))))
+    return f"{head[:-2]},\n  {json.encoder.encode_basestring_ascii(key)}: [\n{rows}\n  ]\n}}\n"
+
+
+def _emit(args, table: dict, payload: dict, rows_key: str | None = None) -> None:
+    """Write `table` as CSV, or `payload` as indented JSON.
+
+    With `rows_key`, the JSON gets the table's rows as one more key, last.
+    """
     if args.format == "csv":
-        text = _write_csv(rows, header)
-    else:
+        text = _write_csv(table)
+    elif rows_key is None:
         text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = _json_with_rows(payload, rows_key, table)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _report_rows(scenario: Scenario, reports) -> list[dict]:
-    return [
-        {
-            "feature": r.index + 1,
-            "name": scenario.names[r.index],
-            "informativeness": r.informativeness,
-            "divergence0": r.divergence0,
-            "value": r.value,
-            "selected": r.selected,
-        }
-        for r in reports
-    ]
+def _report_table(scenario: Scenario, plan) -> dict:
+    """One row per feature, by descending value (ties by index)."""
+    order = plan.order
+    return {
+        "feature": order + 1,
+        "name": list(map(scenario.names.__getitem__, order.tolist())),
+        "informativeness": plan.informativeness[order],
+        "divergence0": plan.divergence0[order],
+        "value": plan.values[order],
+        "selected": plan.selected[order],
+    }
 
 
 def cmd_eval_static(scenario: Scenario, args) -> int:
@@ -83,32 +128,31 @@ def cmd_eval_static(scenario: Scenario, args) -> int:
             f"eval-static enumerates all 2^n subsets; limited to "
             f"n <= {EVAL_STATIC_MAX_FEATURES}"
         )
-    rows = []
-    for size in range(instance.n + 1):
-        for subset in itertools.combinations(range(instance.n), size):
-            rows.append({"subset": format_subset(subset), "mse": mse(instance, subset)})
-    _emit(args, {"rows": rows}, rows, ["subset", "mse"])
+    n = instance.n
+    subsets = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+    table = {
+        "subset": [format_subset(s) for s in subsets],
+        "mse": np.array([mse(instance, s) for s in subsets]),
+    }
+    _emit(args, table, {"rows": _records(table)})
     return 0
 
 
 def cmd_plan_static(scenario: Scenario, args) -> int:
     plan = optimal_static_subset(scenario.instance)
-    rows = _report_rows(scenario, plan.reports)
     payload = {
         "subset": format_subset(plan.subset),
         "features": [i + 1 for i in plan.subset],
         "names": [scenario.names[i] for i in plan.subset],
         "degenerate": plan.degenerate,
-        "reports": rows,
     }
-    _emit(args, payload, rows, list(rows[0].keys()))
+    _emit(args, _report_table(scenario, plan), payload, "reports")
     return 0
 
 
 def cmd_plan_stationary(scenario: Scenario, args) -> int:
     plan = optimal_stationary_sequence(scenario.instance, scenario.dynamic)
     baseline = discounted_baseline_loss(scenario.instance)
-    rows = _report_rows(scenario, plan.reports)
     payload = {
         "subset": format_subset(plan.subset),
         "features": [i + 1 for i in plan.subset],
@@ -117,54 +161,38 @@ def cmd_plan_stationary(scenario: Scenario, args) -> int:
         "loss": baseline - plan.total_value,
         "baseline_loss": baseline,
         "degenerate": plan.degenerate,
-        "reports": rows,
     }
-    _emit(args, payload, rows, list(rows[0].keys()))
+    _emit(args, _report_table(scenario, plan), payload, "reports")
     return 0
 
 
 def cmd_switch_points(scenario: Scenario, args) -> int:
     points = tradeoff.all_switch_points(scenario.instance, scenario.dynamic)
-    rows = [
-        {
-            "i": p.pair.i + 1,
-            "j": p.pair.j + 1,
-            "delta_info": p.pair.delta_info,
-            "delta_div": p.pair.delta_div,
-            "kind": p.kind,
-            "threshold": "" if p.threshold is None else p.threshold,
-        }
-        for p in points
-    ]
-    payload = {
-        "points": [
-            {**row, "threshold": None if row["threshold"] == "" else row["threshold"]}
-            for row in rows
-        ]
+    thresholds = [p.threshold for p in points]
+    table = {
+        "i": [p.pair.i + 1 for p in points],
+        "j": [p.pair.j + 1 for p in points],
+        "delta_info": np.array([p.pair.delta_info for p in points]),
+        "delta_div": np.array([p.pair.delta_div for p in points]),
+        "kind": [p.kind for p in points],
+        "threshold": thresholds,
     }
-    _emit(args, payload, rows, ["i", "j", "delta_info", "delta_div", "kind", "threshold"])
+    payload = {"points": _records(table)}
+    _emit(args, {**table, "threshold": _optional_cells(thresholds)}, payload)
     return 0
 
 
 def cmd_sweep_delta(scenario: Scenario, args) -> int:
     grid = parse_grid(args.grid)
-    result = tradeoff.sweep_delta(scenario.instance, scenario.dynamic, grid)
-    rows = [
-        {
-            "delta": r.delta,
-            "subset": format_subset(r.subset),
-            "total_value": r.total_value,
-            "informativeness": r.informativeness,
-            "loss": r.loss,
-        }
-        for r in result.rows
-    ]
-    _emit(
-        args,
-        {"rows": rows},
-        rows,
-        ["delta", "subset", "total_value", "informativeness", "loss"],
-    )
+    rows = tradeoff.sweep_delta(scenario.instance, scenario.dynamic, grid).rows
+    table = {
+        "delta": np.array([r.delta for r in rows]),
+        "subset": [format_subset(r.subset) for r in rows],
+        "total_value": np.array([r.total_value for r in rows]),
+        "informativeness": np.array([r.informativeness for r in rows]),
+        "loss": np.array([r.loss for r in rows]),
+    }
+    _emit(args, table, {"rows": _records(table)})
     return 0
 
 
@@ -172,11 +200,11 @@ def cmd_sweep_heatmap(scenario: Scenario, args) -> int:
     deltas = parse_grid(args.grid)
     ws = parse_grid(args.w_grid if args.w_grid else args.grid)
     result = tradeoff.sweep_w_delta_loss_ratio(scenario.instance, ws, deltas)
-    rows = [
-        {"w": float(w), "delta": float(d), "loss_ratio": float(result.ratios[wi, di])}
-        for wi, w in enumerate(result.w_grid)
-        for di, d in enumerate(result.delta_grid)
-    ]
+    table = {
+        "w": np.repeat(result.w_grid, result.delta_grid.size),
+        "delta": np.tile(result.delta_grid, result.w_grid.size),
+        "loss_ratio": result.ratios.ravel(),
+    }
     payload = {
         "more_informative": result.more_informative + 1,
         "less_informative": result.less_informative + 1,
@@ -184,27 +212,19 @@ def cmd_sweep_heatmap(scenario: Scenario, args) -> int:
         "delta_grid": result.delta_grid.tolist(),
         "ratios": result.ratios.tolist(),
     }
-    _emit(args, payload, rows, ["w", "delta", "loss_ratio"])
+    _emit(args, table, payload)
     return 0
 
 
 def cmd_enumerate_subsets(scenario: Scenario, args) -> int:
     intervals = tradeoff.enumerate_optimal_subsets(scenario.instance, scenario.dynamic)
-    rows = [
-        {
-            "delta_lo": iv.lo,
-            "delta_hi": iv.hi,
-            "subset": format_subset(iv.subset),
-            "informativeness": iv.informativeness,
-        }
-        for iv in intervals
-    ]
-    _emit(
-        args,
-        {"intervals": rows},
-        rows,
-        ["delta_lo", "delta_hi", "subset", "informativeness"],
-    )
+    table = {
+        "delta_lo": np.array([iv.lo for iv in intervals]),
+        "delta_hi": np.array([iv.hi for iv in intervals]),
+        "subset": [format_subset(iv.subset) for iv in intervals],
+        "informativeness": np.array([iv.informativeness for iv in intervals]),
+    }
+    _emit(args, table, {"intervals": _records(table)})
     return 0
 
 
@@ -214,25 +234,24 @@ def cmd_verify(scenario: Scenario, args) -> int:
         best_seq, best_value = oracle.exhaustive_prefix_search(
             instance, scenario.dynamic, args.prefix_len, tol=args.tol
         )
-        passed = True
     except VerificationError as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return 1
     stationary = optimal_stationary_sequence(instance, scenario.dynamic).total_value
-    row = {
-        "prefix_length": args.prefix_len,
-        "tol": args.tol,
-        "best_value": best_value,
-        "stationary_value": stationary,
-        "gap": best_value - stationary,
-        "passed": passed,
+    table = {
+        "prefix_length": [args.prefix_len],
+        "tol": np.array([args.tol]),
+        "best_value": np.array([best_value]),
+        "stationary_value": np.array([stationary]),
+        "gap": np.array([best_value - stationary]),
+        "passed": [True],
     }
     payload = {
-        **row,
+        **_records(table)[0],
         "best_prefix": [format_subset(s) for s in best_seq.prefix],
         "best_tail": format_subset(best_seq.tail),
     }
-    _emit(args, payload, [row], list(row.keys()))
+    _emit(args, table, payload)
     return 0
 
 
@@ -250,17 +269,13 @@ def cmd_misspec(scenario: Scenario, args) -> int:
     kind = robustness.ErrorKind(args.kind)
     spec = robustness.ErrorSpec(kind=kind, epsilon=_parse_epsilon(args.epsilon))
     report = robustness.margins(scenario.instance, spec, scenario.dynamic)
-    margin_rows = [
-        {
-            "feature": i + 1,
-            "name": scenario.names[i],
-            "lower_margin": float(report.lower_margin[i]),
-            "upper_margin": float(report.upper_margin[i]),
-        }
-        for i in range(scenario.instance.n)
-    ]
-    payload = {"kind": kind.value, "epsilon": spec.epsilon, "margins": margin_rows}
-    rows, header = margin_rows, ["feature", "name", "lower_margin", "upper_margin"]
+    table = {
+        "feature": list(range(1, scenario.instance.n + 1)),
+        "name": scenario.names,
+        "lower_margin": report.lower_margin,
+        "upper_margin": report.upper_margin,
+    }
+    payload = {"kind": kind.value, "epsilon": spec.epsilon, "margins": _records(table)}
     status = 0
     if args.trials:
         validation = robustness.validate_bound(
@@ -271,23 +286,20 @@ def cmd_misspec(scenario: Scenario, args) -> int:
             dynamic=scenario.dynamic,
         )
         payload["validation"] = validation.to_dict()
-        rows = [
-            {
-                "trial": j,
-                "gap": r.gap,
-                "bound": r.bound,
-                "ratio": "" if r.ratio is None else r.ratio,
-            }
-            for j, r in enumerate(validation.records)
-        ]
-        header = ["trial", "gap", "bound", "ratio"]
+        records = validation.records
+        table = {
+            "trial": list(range(len(records))),
+            "gap": np.array([r.gap for r in records]),
+            "bound": np.array([r.bound for r in records]),
+            "ratio": _optional_cells([r.ratio for r in records]),
+        }
         if validation.violations:
             status = 1
             sys.stderr.write(
                 f"bound violated in {validation.violations} of "
                 f"{validation.trials} trials\n"
             )
-    _emit(args, payload, rows, header)
+    _emit(args, table, payload)
     return status
 
 

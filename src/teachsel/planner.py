@@ -26,35 +26,33 @@ from .model import FeatureSubset, ProblemInstance, static_values
 NEAR_TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureValueReport:
-    """Scoring breakdown for one feature."""
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """A chosen subset, with every feature's score as columns.
 
-    index: int
-    informativeness: float
-    divergence0: float
-    value: float
-    selected: bool
+    `values`, `informativeness`, `divergence0` and `selected` are indexed by
+    feature; `order` lists the features by descending value, ties by index.
+    """
 
-
-@dataclass(frozen=True)
-class StaticPlan:
     subset: FeatureSubset
-    reports: tuple[FeatureValueReport, ...]
+    order: np.ndarray
+    values: np.ndarray
+    informativeness: np.ndarray
+    divergence0: np.ndarray
+    selected: np.ndarray
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class StationaryPlan:
-    subset: FeatureSubset
+@dataclass(frozen=True, eq=False)
+class StaticPlan(_Plan):
+    """Best single-shot subset."""
+
+
+@dataclass(frozen=True, eq=False)
+class StationaryPlan(_Plan):
+    """Best repeat-forever subset and its total discounted value."""
+
     total_value: float
-    reports: tuple[FeatureValueReport, ...]
-    degenerate: bool
-
-
-def _rank(values: np.ndarray) -> np.ndarray:
-    """Indices by descending value; equal values keep index order."""
-    return np.argsort(-values, kind="stable")
 
 
 def _near_ties(values: np.ndarray, order: np.ndarray) -> bool:
@@ -66,38 +64,36 @@ def _near_ties(values: np.ndarray, order: np.ndarray) -> bool:
     return bool(np.any(gaps < NEAR_TIE_RTOL * scale))
 
 
-def _select_top_k(values: np.ndarray, k: int) -> tuple[FeatureSubset, np.ndarray, bool]:
-    order = _rank(values)
-    positive = order[values[order] > 0.0]
-    chosen = positive[:k]
-    return tuple(sorted(int(i) for i in chosen)), order, _near_ties(values, order)
+def select_top_k(values: np.ndarray, k: int, order: np.ndarray | None = None):
+    """Up to `k` features with the largest strictly positive values, sorted.
+
+    Ties break toward the lower index: `order` is the stable argsort of
+    ``-values`` (computed when not given).  A 2-d `values` holds one row per
+    patience level and gives a list with one subset per row.
+    """
+    if order is None:
+        order = np.argsort(-values, axis=-1, kind="stable")
+    if values.ndim == 1:
+        return tuple(sorted(order[values[order] > 0.0][:k].tolist()))
+    return [
+        tuple(sorted(ranked[row[ranked] > 0.0][:k].tolist()))
+        for row, ranked in zip(values, order)
+    ]
 
 
-def _reports(
-    instance: ProblemInstance,
-    values: np.ndarray,
-    divergence: np.ndarray,
-    subset: FeatureSubset,
-    order: np.ndarray,
-) -> tuple[FeatureValueReport, ...]:
-    mask = np.zeros(instance.n, dtype=bool)
-    mask[list(subset)] = True
-    # .tolist() up front keeps this loop in native floats; per-element numpy
-    # indexing dominates runtime at n ~ 1e5 otherwise.
-    info = instance.informativeness.tolist()
-    div = divergence.tolist()
-    vals = values.tolist()
-    sel = mask.tolist()
-    return tuple(
-        FeatureValueReport(
-            index=i,
-            informativeness=info[i],
-            divergence0=div[i],
-            value=vals[i],
-            selected=sel[i],
-        )
-        for i in order.tolist()
-    )
+def _columns(values: np.ndarray, k: int) -> dict:
+    """The plan fields shared by both planners, from per-feature values."""
+    order = np.argsort(-values, kind="stable")
+    subset = select_top_k(values, k, order)
+    selected = np.zeros(values.size, dtype=bool)
+    selected[list(subset)] = True
+    return {
+        "subset": subset,
+        "order": order,
+        "values": values,
+        "selected": selected,
+        "degenerate": _near_ties(values, order),
+    }
 
 
 def optimal_static_subset(
@@ -106,17 +102,14 @@ def optimal_static_subset(
     """Best subset for a single prediction with beliefs held at `h`.
 
     Keeps the up-to-k features with the largest strictly positive static
-    values; ties break toward the lower index.  Reports cover every
-    feature, sorted by value.
+    values; ties break toward the lower index.  The plan's columns cover
+    every feature.
     """
     hv = instance.h0 if h is None else np.asarray(h, dtype=float)
-    values = static_values(instance, hv)
-    subset, order, degenerate = _select_top_k(values, instance.k)
-    divergence = (instance.a - hv) ** 2
     return StaticPlan(
-        subset=subset,
-        reports=_reports(instance, values, divergence, subset, order),
-        degenerate=degenerate,
+        informativeness=instance.informativeness,
+        divergence0=(instance.a - hv) ** 2,
+        **_columns(static_values(instance, hv), instance.k),
     )
 
 
@@ -145,14 +138,12 @@ def optimal_stationary_sequence(
     instance: ProblemInstance, dynamic: LearningDynamic
 ) -> StationaryPlan:
     """Best repeat-forever feature subset and its total discounted value."""
-    values = stationary_values(instance, dynamic)
-    subset, order, degenerate = _select_top_k(values, instance.k)
-    total = float(np.sum(values[list(subset)])) if subset else 0.0
+    columns = _columns(stationary_values(instance, dynamic), instance.k)
     return StationaryPlan(
-        subset=subset,
-        total_value=total,
-        reports=_reports(instance, values, instance.divergence0, subset, order),
-        degenerate=degenerate,
+        total_value=float(np.sum(columns["values"][columns["selected"]])),
+        informativeness=instance.informativeness,
+        divergence0=instance.divergence0,
+        **columns,
     )
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import LearningDynamic, discounted_phi_sum
 from .errors import InvalidInputError
-from .model import FeatureSubset, ProblemInstance, normalize_subset, static_values
-from .planner import stationary_values
+from .model import ProblemInstance, normalize_subset, static_values
+from .planner import select_top_k, stationary_values
 
 BOUND_SLACK = 1e-9
 
@@ -223,12 +223,6 @@ class ValidationReport:
         }
 
 
-def _select(values: np.ndarray, k: int) -> FeatureSubset:
-    order = np.argsort(-values, kind="stable")
-    chosen = order[values[order] > 0.0][:k]
-    return tuple(sorted(int(i) for i in chosen))
-
-
 def _true_values(
     instance: ProblemInstance, kind: ErrorKind, dynamic: LearningDynamic | None
 ) -> np.ndarray:
@@ -282,7 +276,7 @@ def validate_bound(
         raise InvalidInputError("trials must be >= 1")
     report = margins(instance, spec, dynamic)
     true_vals = _true_values(instance, spec.kind, dynamic)
-    best = _select(true_vals, instance.k)
+    best = select_top_k(true_vals, instance.k)
     best_total = float(np.sum(true_vals[list(best)])) if best else 0.0
 
     scalar = spec.kind is ErrorKind.LEARNING_SPEED
@@ -297,7 +291,7 @@ def validate_bound(
         else:
             noise = rng.uniform(-1.0, 1.0, size=instance.n) * eps
         mistaken = _perturbed_values(instance, spec.kind, dynamic, noise)
-        chosen = _select(mistaken, instance.k)
+        chosen = select_top_k(mistaken, instance.k)
         chosen_total = float(np.sum(true_vals[list(chosen)])) if chosen else 0.0
         gap = best_total - chosen_total
         bound = aggregate_gap_bound(report, best, chosen)

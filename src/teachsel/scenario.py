@@ -35,12 +35,16 @@ class Scenario:
     standardization: StandardizationSpec | None = None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(doc: dict, field: str, kind, where: str = "scenario"):
     if field not in doc:
         raise ScenarioError(f"{where}: missing required field '{field}'")
     value = doc[field]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ScenarioError(f"{where}: field '{field}' must be a number")
         return float(value)
     if kind is int:
@@ -62,15 +66,52 @@ def _parse_dynamic(doc: dict) -> LearningDynamic:
             return Exponential(w=_require(params, "w", float, "dynamic.params"))
         if kind == "tabulated":
             values = _require(params, "values", list, "dynamic.params")
-            return Tabulated(
-                values=tuple(float(v) for v in values),
-                tail_w=float(params.get("tail_w", 0.0)),
-            )
+            for idx, v in enumerate(values):
+                if not _is_number(v):
+                    raise ScenarioError(f"dynamic.params: values[{idx}] must be a number")
+            tail_w = 0.0
+            if "tail_w" in params:
+                tail_w = _require(params, "tail_w", float, "dynamic.params")
+            return Tabulated(values=tuple(float(v) for v in values), tail_w=tail_w)
     except InvalidInputError as exc:
         raise ScenarioError(f"dynamic: {exc}") from exc
     raise ScenarioError(
         f"dynamic: unknown type '{kind}' (expected 'exponential' or 'tabulated')"
     )
+
+
+def _parse_features(features: list) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Coefficient vectors and names, checked for all features at once.
+
+    JSON values have exact types, so the set of types seen per field covers
+    every feature; when a check fails, a second pass names the first bad one.
+    """
+    try:
+        a = [f["a"] for f in features]
+        h0 = [f["h0"] for f in features]
+    except (KeyError, TypeError):  # a field is missing, or a feature is no object
+        valid = False
+    else:
+        names = [f.get("name") for f in features]
+        valid = (
+            {int, float}.issuperset(map(type, a))
+            and {int, float}.issuperset(map(type, h0))
+            and {str, type(None)}.issuperset(map(type, names))
+        )
+    if not valid:
+        for idx, feat in enumerate(features):
+            where = f"features[{idx}]"
+            if not isinstance(feat, dict):
+                raise ScenarioError(f"{where}: each feature must be an object")
+            _require(feat, "a", float, where)
+            _require(feat, "h0", float, where)
+            if not isinstance(feat.get("name"), (str, type(None))):
+                raise ScenarioError(f"{where}: field 'name' must be a string")
+    if None in names:
+        names = [str(i + 1) if name is None else name for i, name in enumerate(names)]
+    if len(set(names)) != len(names):
+        raise ScenarioError("scenario: feature names must be unique")
+    return np.array(a, dtype=float), np.array(h0, dtype=float), names
 
 
 def load_scenario(path: str | Path, *, allow_zero_coeff: bool = False) -> Scenario:
@@ -92,19 +133,7 @@ def load_scenario(path: str | Path, *, allow_zero_coeff: bool = False) -> Scenar
     features = _require(doc, "features", list)
     if not features:
         raise ScenarioError("scenario: 'features' must be a non-empty list")
-    a, h0, names = [], [], []
-    for idx, feat in enumerate(features):
-        where = f"features[{idx}]"
-        if not isinstance(feat, dict):
-            raise ScenarioError(f"{where}: each feature must be an object")
-        a.append(_require(feat, "a", float, where))
-        h0.append(_require(feat, "h0", float, where))
-        name = feat.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ScenarioError(f"{where}: field 'name' must be a string")
-        names.append(name if name is not None else str(idx + 1))
-    if len(set(names)) != len(names):
-        raise ScenarioError("scenario: feature names must be unique")
+    a, h0, names = _parse_features(features)
 
     c = _require(doc, "c", float)
     c_bar = _require(doc, "c_bar", float)
@@ -124,23 +153,20 @@ def load_scenario(path: str | Path, *, allow_zero_coeff: bool = False) -> Scenar
             )
         except InvalidInputError as exc:
             raise ScenarioError(f"standardization: {exc}") from exc
-        if spec.mu.size != len(a):
+        if spec.mu.size != a.size:
             raise ScenarioError(
                 "standardization: mu/sigma length must match the feature count"
             )
         # Both linear models live on the same raw features, so both
         # coefficient vectors transform the same way.
-        a_arr, c = standardize(np.asarray(a, float), c, spec)
-        h_arr, c_bar = standardize(np.asarray(h0, float), c_bar, spec)
-    else:
-        a_arr = np.asarray(a, float)
-        h_arr = np.asarray(h0, float)
+        a, c = standardize(a, c, spec)
+        h0, c_bar = standardize(h0, c_bar, spec)
 
     try:
         instance = ProblemInstance(
-            a=a_arr,
+            a=a,
             c=c,
-            h0=h_arr,
+            h0=h0,
             c_bar=c_bar,
             k=k,
             delta=delta,

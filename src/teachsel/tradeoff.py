@@ -22,7 +22,7 @@ from .dynamics import (
 )
 from .errors import InvalidInputError
 from .model import FeatureSubset, ProblemInstance, subset_informativeness
-from .planner import optimal_stationary_sequence
+from .planner import optimal_stationary_sequence, select_top_k
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 60
@@ -167,18 +167,6 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    def to_records(self) -> list[dict]:
-        return [
-            {
-                "delta": r.delta,
-                "subset": list(r.subset),
-                "total_value": r.total_value,
-                "informativeness": r.informativeness,
-                "loss": r.loss,
-            }
-            for r in self.rows
-        ]
-
 
 def _value_matrix(
     instance: ProblemInstance, dynamic: LearningDynamic, deltas: np.ndarray
@@ -188,15 +176,6 @@ def _value_matrix(
     info = instance.informativeness
     div = instance.divergence0
     return info[None, :] / (1.0 - deltas)[:, None] - weights[:, None] * div[None, :]
-
-
-def _select_rows(values: np.ndarray, k: int) -> list[FeatureSubset]:
-    order = np.argsort(-values, axis=1, kind="stable")
-    subsets = []
-    for vals, ranked in zip(values, order):
-        positive = ranked[vals[ranked] > 0.0]
-        subsets.append(tuple(sorted(int(i) for i in positive[:k])))
-    return subsets
 
 
 def sweep_delta(
@@ -211,7 +190,7 @@ def sweep_delta(
     if np.any(np.diff(deltas) <= 0.0):
         raise InvalidInputError("grid must be strictly increasing")
     values = _value_matrix(instance, dynamic, deltas)
-    subsets = _select_rows(values, instance.k)
+    subsets = select_top_k(values, instance.k)
     mse0 = instance.mse_empty()
     info = instance.informativeness
     rows = []
@@ -244,7 +223,7 @@ class SubsetInterval:
 
 def _subset_at(instance: ProblemInstance, dynamic: LearningDynamic, d: float) -> FeatureSubset:
     values = _value_matrix(instance, dynamic, np.array([d]))
-    return _select_rows(values, instance.k)[0]
+    return select_top_k(values[0], instance.k)
 
 
 def _positivity_thresholds(

@@ -33,9 +33,9 @@ class TestOptimalStaticSubset:
         self, three_feature_instance
     ):
         plan = optimal_static_subset(three_feature_instance)
-        values = [r.value for r in plan.reports]
+        values = plan.values[plan.order].tolist()
         assert values == sorted(values, reverse=True)
-        assert sorted(r.index for r in plan.reports) == [0, 1, 2]
+        assert sorted(plan.order.tolist()) == [0, 1, 2]
 
     def test_perfect_beliefs_select_everything(self):
         rng = np.random.default_rng(2)
@@ -67,9 +67,8 @@ class TestOptimalStaticSubset:
         for _ in range(100):
             inst = random_instance(rng)
             plan = optimal_static_subset(inst)
-            for report in plan.reports:
-                if report.selected:
-                    assert report.value > 0.0
+            assert np.all(plan.values[plan.selected] > 0.0)
+            assert plan.selected.sum() == len(plan.subset)
 
 
 class TestStationaryFeatureValue:

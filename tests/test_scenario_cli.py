@@ -104,6 +104,33 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="unique"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            ([{"a": 0.5, "h0": 0.1}, 7], "features[1]: each feature must be an object"),
+            ([{"a": 0.5, "h0": 0.1}, {"h0": 0.2}],
+             "features[1]: missing required field 'a'"),
+            ([{"a": 0.5, "h0": 0.1}, {"a": 0.4}],
+             "features[1]: missing required field 'h0'"),
+            ([{"a": True, "h0": 0.1}], "features[0]: field 'a' must be a number"),
+            ([{"a": 0.5, "h0": 0.1}, {"a": 0.4, "h0": "0.2"}],
+             "features[1]: field 'h0' must be a number"),
+            ([{"a": 0.5, "h0": 0.1, "name": 3}],
+             "features[0]: field 'name' must be a string"),
+            # The first bad feature is reported, and within a feature the
+            # first bad field in the order a, h0, name.
+            ([{"a": 0.5, "h0": 0.1}, {"a": "x", "name": 1}, []],
+             "features[1]: field 'a' must be a number"),
+            ([{"a": 0.5, "h0": None, "name": 1}, {"h0": 0.2}],
+             "features[0]: field 'h0' must be a number"),
+        ],
+    )
+    def test_bad_feature_message(self, tmp_path, features, message):
+        path = write_scenario(tmp_path / "s.json", features=features)
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value) == message
+
     def test_standardization_applied_to_both_models(self, tmp_path):
         path = write_scenario(
             tmp_path / "s.json",
@@ -278,6 +305,26 @@ class TestCliCommands:
         code, _, err = run_cli(capsys, "plan-static", path)
         assert code == 2
         assert "invalid JSON" in err
+
+    # Like every dynamic error, these carry the "dynamic: " prefix.
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"values": [1.0, "x"]}, "dynamic: dynamic.params: values[1] must be a number"),
+            ({"values": [1.0, None]}, "dynamic: dynamic.params: values[1] must be a number"),
+            ({"values": [True, 0.5]}, "dynamic: dynamic.params: values[0] must be a number"),
+            ({"values": [1.0], "tail_w": "abc"},
+             "dynamic: dynamic.params: field 'tail_w' must be a number"),
+        ],
+    )
+    def test_malformed_tabulated_dynamic_exits_2(self, capsys, tmp_path, params, message):
+        path = write_scenario(
+            tmp_path / "s.json",
+            features=[{"a": 0.5, "h0": 0.1}],
+            dynamic={"type": "tabulated", "params": params},
+        )
+        code, out, err = run_cli(capsys, "plan-stationary", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_json_errors_flag(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
