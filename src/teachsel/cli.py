@@ -71,37 +71,55 @@ def _records(table: dict) -> list[dict]:
 def _json_cells(column) -> list[str]:
     """JSON text of each cell, as ``json.dumps`` writes it."""
     if isinstance(column, np.ndarray):
-        # Numbers and booleans never contain ", ", so the list's items split
-        # apart; json's own rule writes nan as NaN and inf as Infinity.
-        return json.dumps(column.tolist())[1:-1].split(", ")
-    return list(map(json.encoder.encode_basestring_ascii, column))
+        column = column.tolist()
+    elif isinstance(column[0], str):
+        return list(map(json.encoder.encode_basestring_ascii, column))
+    # Numbers, booleans and null never contain ", ", so the list's items
+    # split apart; json's own rule writes nan as NaN and inf as Infinity.
+    return json.dumps(column)[1:-1].split(", ")
 
 
 def _json_with_rows(payload: dict, key: str, table: dict) -> str:
-    """``json.dumps({**payload, key: _records(table)}, indent=2) + "\\n"``,
-    built from the table's columns with one string template per row.
+    """``json.dumps(payload, indent=2) + "\\n"`` with the table's rows
+    (``_records(table)``) added under `key`, built from the table's columns
+    with one string template per row.
 
-    String columns are lists of str; `payload` and `table` are not empty.
+    A dotted `key` nests the rows: with ``"validation.per_trial"`` they go
+    last in ``payload["validation"]``, which must be the payload's last key.
+    String columns are lists of str; `table` and every dict on the path are
+    not empty.
     """
+    *parents, name = key.split(".")
     head = json.dumps(payload, indent=2)
-    template = "    {\n%s\n    }" % ",\n".join(
-        f"      {json.encoder.encode_basestring_ascii(name)}: %s" for name in table
+    # The closing braces of the dicts on the path, innermost first.
+    closing = "".join(
+        "\n" + "  " * level + "}" for level in reversed(range(len(parents) + 1))
+    )
+    pad = "  " * (len(parents) + 1)
+    template = f"{pad}  {{\n%s\n{pad}  }}" % ",\n".join(
+        f"{pad}    {json.encoder.encode_basestring_ascii(column)}: %s" for column in table
     )
     rows = ",\n".join(map(template.__mod__, zip(*map(_json_cells, table.values()))))
-    return f"{head[:-2]},\n  {json.encoder.encode_basestring_ascii(key)}: [\n{rows}\n  ]\n}}\n"
+    return (
+        f"{head[: -len(closing)]},\n{pad}{json.encoder.encode_basestring_ascii(name)}: "
+        f"[\n{rows}\n{pad}]{closing}\n"
+    )
 
 
-def _emit(args, table: dict, payload: dict, rows_key: str | None = None) -> None:
+def _emit(
+    args, table: dict, payload: dict, rows_key: str | None = None, rows: dict | None = None
+) -> None:
     """Write `table` as CSV, or `payload` as indented JSON.
 
-    With `rows_key`, the JSON gets the table's rows as one more key, last.
+    With `rows_key`, the JSON gets the rows of `rows` (default: `table`) as
+    one more key, last.
     """
     if args.format == "csv":
         text = _write_csv(table)
     elif rows_key is None:
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = _json_with_rows(payload, rows_key, table)
+        text = _json_with_rows(payload, rows_key, table if rows is None else rows)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -276,31 +294,32 @@ def cmd_misspec(scenario: Scenario, args) -> int:
         "upper_margin": report.upper_margin,
     }
     payload = {"kind": kind.value, "epsilon": spec.epsilon, "margins": _records(table)}
-    status = 0
-    if args.trials:
-        validation = robustness.validate_bound(
-            scenario.instance,
-            spec,
-            trials=args.trials,
-            seed=args.seed,
-            dynamic=scenario.dynamic,
+    if not args.trials:
+        _emit(args, table, payload)
+        return 0
+    validation = robustness.validate_bound(
+        scenario.instance,
+        spec,
+        trials=args.trials,
+        seed=args.seed,
+        dynamic=scenario.dynamic,
+    )
+    payload["validation"] = validation.summary()
+    ratios = validation.ratios
+    per_trial = {"gap": validation.gaps, "bound": validation.bounds, "ratio": ratios}
+    table = {
+        "trial": list(range(validation.trials)),
+        **per_trial,
+        "ratio": _optional_cells(ratios),
+    }
+    _emit(args, table, payload, "validation.per_trial", per_trial)
+    if validation.violations:
+        sys.stderr.write(
+            f"bound violated in {validation.violations} of "
+            f"{validation.trials} trials\n"
         )
-        payload["validation"] = validation.to_dict()
-        records = validation.records
-        table = {
-            "trial": list(range(len(records))),
-            "gap": np.array([r.gap for r in records]),
-            "bound": np.array([r.bound for r in records]),
-            "ratio": _optional_cells([r.ratio for r in records]),
-        }
-        if validation.violations:
-            status = 1
-            sys.stderr.write(
-                f"bound violated in {validation.violations} of "
-                f"{validation.trials} trials\n"
-            )
-    _emit(args, table, payload)
-    return status
+        return 1
+    return 0
 
 
 COMMANDS = {
@@ -311,7 +330,7 @@ COMMANDS = {
     "sweep-delta": (cmd_sweep_delta, "optimal subset along a patience grid"),
     "sweep-heatmap": (cmd_sweep_heatmap, "retention/patience loss-ratio grid (2 features, k=1)"),
     "enumerate-subsets": (cmd_enumerate_subsets, "optimal subset per patience interval"),
-    "verify": (cmd_verify, "brute-force check that no prefixed plan beats the stationary one"),
+    "verify": (cmd_verify, "exact search showing no bounded prefix beats the stationary plan"),
     "misspec": (cmd_misspec, "error margins and randomized bound validation"),
 }
 

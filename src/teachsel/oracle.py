@@ -1,8 +1,8 @@
-"""Independent evaluation and brute-force search over selection sequences.
+"""Independent evaluation and exact search over selection sequences.
 
 Everything here exists to check the planner from the outside: losses are
 summed term by term from simulated belief trajectories wherever possible,
-and small instances are searched exhaustively over all bounded prefixes.
+and small instances are searched exactly over every bounded prefix.
 """
 
 from __future__ import annotations
@@ -188,11 +188,21 @@ def exhaustive_prefix_search(
     prefix_length: int,
     tol: float = DEFAULT_TOL,
 ) -> tuple[SelectionSequence, float]:
-    """Search every bounded prefix, each completed by its best stationary tail.
+    """Exact search over every bounded prefix, each completed by its best
+    stationary tail.
 
-    Returns the best sequence found and its value, and raises
-    VerificationError if any prefixed sequence beats the best stationary
-    sequence by more than `tol` (none should).
+    A prefix's future depends only on the step and on how often each feature
+    has been observed, so the search runs forward over those count vectors
+    instead of enumerating all ``|subsets|**prefix_length`` prefixes.  Values
+    accumulate term by term in the enumeration's order, so every candidate
+    keeps the float value it would have had there.  At each step a prefix is
+    dropped only when an earlier prefix (as tuples) reached the same counts
+    with at least its value: float addition is monotone, so that prefix's
+    every continuation scores at least as high and sorts first.
+
+    Returns the best sequence (ties go to the smaller prefix) and its value,
+    and raises VerificationError if it beats the best stationary sequence by
+    more than `tol` (it never should).
     """
     if instance.n > MAX_SEARCH_FEATURES or instance.k > MAX_SEARCH_BUDGET:
         raise InvalidInputError(
@@ -210,11 +220,13 @@ def exhaustive_prefix_search(
     delta = instance.delta
     info = instance.informativeness.tolist()
     div = instance.divergence0.tolist()
-    subsets = _all_subsets(n, k)
+    # Ascending tuple order: extending prefixes taken in ascending order
+    # yields the next step's prefixes in ascending order too.
+    subsets = sorted(_all_subsets(n, k))
 
     # A feature can be observed at most prefix_length times before the tail,
     # so every phi value and offset tail weight the search needs is one of
-    # these; caching them keeps the prefix loop in plain arithmetic.
+    # these; caching them keeps the search in plain arithmetic.
     phis = [dynamic.phi(m) for m in range(prefix_length + 1)]
     tail_weights = [
         discounted_phi_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)
@@ -222,29 +234,46 @@ def exhaustive_prefix_search(
     discounts = [delta**t for t in range(prefix_length + 1)]
     horizon_mass = 1.0 / (1.0 - delta)
 
-    best_value = -np.inf
-    best_seq = SelectionSequence.all_empty()
-    for prefix in itertools.product(subsets, repeat=prefix_length):
-        counts = [0] * n
-        value = 0.0
-        for t, subset in enumerate(prefix):
-            for i in subset:
-                value += discounts[t] * (info[i] - phis[counts[i]] * div[i])
-                counts[i] += 1
-        tail_values = [
-            info[i] * horizon_mass - tail_weights[counts[i]] * div[i]
+    # level: (prefix, counts, value) for every kept prefix, ascending by prefix.
+    level = [((), (0,) * n, 0.0)]
+    for t in range(prefix_length):
+        terms = [
+            [discounts[t] * (info[i] - phis[m] * div[i]) for m in range(t + 1)]
             for i in range(n)
         ]
-        order = sorted(range(n), key=lambda i: (-tail_values[i], i))
-        tail = tuple(sorted(i for i in order[:k] if tail_values[i] > 0.0))
-        value += discounts[prefix_length] * sum(tail_values[i] for i in tail)
-        candidate = SelectionSequence(prefix=prefix, tail=tail)
-        if value > best_value or (
-            value == best_value
-            and (candidate.prefix, candidate.tail) < (best_seq.prefix, best_seq.tail)
-        ):
+        best_at: dict[tuple[int, ...], float] = {}
+        kept = []
+        for prefix, counts, value in level:
+            for subset in subsets:
+                m = list(counts)
+                v = value
+                for i in subset:
+                    v += terms[i][m[i]]
+                    m[i] += 1
+                state = tuple(m)
+                if v > best_at.get(state, -np.inf):
+                    best_at[state] = v
+                    kept.append((prefix + (subset,), state, v))
+        level = kept
+
+    tail_gains: dict[tuple[int, ...], tuple[FeatureSubset, float]] = {}
+    best_value = -np.inf
+    best_seq = SelectionSequence.all_empty()
+    for prefix, counts, value in level:
+        if counts not in tail_gains:
+            tail_values = [
+                info[i] * horizon_mass - tail_weights[counts[i]] * div[i]
+                for i in range(n)
+            ]
+            order = sorted(range(n), key=lambda i: (-tail_values[i], i))
+            tail = tuple(sorted(i for i in order[:k] if tail_values[i] > 0.0))
+            gain = discounts[prefix_length] * sum(tail_values[i] for i in tail)
+            tail_gains[counts] = (tail, gain)
+        tail, gain = tail_gains[counts]
+        value += gain
+        if value > best_value:
             best_value = value
-            best_seq = candidate
+            best_seq = SelectionSequence(prefix=prefix, tail=tail)
 
     stationary_value = optimal_stationary_sequence(instance, dynamic).total_value
     if best_value > stationary_value + tol:

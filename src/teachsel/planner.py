@@ -64,21 +64,30 @@ def _near_ties(values: np.ndarray, order: np.ndarray) -> bool:
     return bool(np.any(gaps < NEAR_TIE_RTOL * scale))
 
 
+def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
+    """Row by row, the mask of `select_top_k`'s features.
+
+    For a 2-d `values` with many rows, such as one row per sampled estimate.
+    """
+    top = np.argsort(-values, axis=-1, kind="stable")[..., :k]
+    mask = np.zeros(values.shape, dtype=bool)
+    # Strictly positive values lead the descending order.
+    np.put_along_axis(mask, top, np.take_along_axis(values, top, axis=-1) > 0.0, axis=-1)
+    return mask
+
+
 def select_top_k(values: np.ndarray, k: int, order: np.ndarray | None = None):
     """Up to `k` features with the largest strictly positive values, sorted.
 
     Ties break toward the lower index: `order` is the stable argsort of
-    ``-values`` (computed when not given).  A 2-d `values` holds one row per
-    patience level and gives a list with one subset per row.
+    ``-values`` (computed when not given; 1-d only).  A 2-d `values` holds
+    one row per patience level and gives a list with one subset per row.
     """
+    if values.ndim == 2:
+        return [tuple(np.flatnonzero(row).tolist()) for row in top_k_mask(values, k)]
     if order is None:
-        order = np.argsort(-values, axis=-1, kind="stable")
-    if values.ndim == 1:
-        return tuple(sorted(order[values[order] > 0.0][:k].tolist()))
-    return [
-        tuple(sorted(ranked[row[ranked] > 0.0][:k].tolist()))
-        for row, ranked in zip(values, order)
-    ]
+        order = np.argsort(-values, kind="stable")
+    return tuple(sorted(order[values[order] > 0.0][:k].tolist()))
 
 
 def _columns(values: np.ndarray, k: int) -> dict:

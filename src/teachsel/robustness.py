@@ -18,9 +18,11 @@ import numpy as np
 from .dynamics import LearningDynamic, discounted_phi_sum
 from .errors import InvalidInputError
 from .model import ProblemInstance, normalize_subset, static_values
-from .planner import select_top_k, stationary_values
+from .planner import select_top_k, stationary_values, top_k_mask
 
 BOUND_SLACK = 1e-9
+# validate_bound scores trials in blocks of about this many estimates.
+BLOCK_CELLS = 1 << 20
 
 
 class ErrorKind(enum.Enum):
@@ -59,6 +61,8 @@ class ErrorSpec:
             raise InvalidInputError(
                 f"epsilon must be a scalar or length-{n} vector, got shape {eps.shape}"
             )
+        if not np.all(np.isfinite(eps)):
+            raise InvalidInputError("epsilon must be finite")
         if np.any(eps < 0.0):
             raise InvalidInputError("epsilon must be nonnegative")
         return eps
@@ -70,6 +74,8 @@ class ErrorSpec:
                 raise InvalidInputError("learning-speed errors use a scalar epsilon")
             eps = eps.reshape(())
         value = float(eps)
+        if not np.isfinite(value):
+            raise InvalidInputError("epsilon must be finite")
         if value < 0.0:
             raise InvalidInputError("epsilon must be nonnegative")
         return value
@@ -189,15 +195,10 @@ def aggregate_gap_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    gap: float
-    bound: float
-    ratio: float | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
+    """Summary of a validation run, with one `gaps`/`bounds` entry per trial."""
+
     kind: ErrorKind
     trials: int
     seed: int
@@ -205,9 +206,19 @@ class ValidationReport:
     max_gap: float
     mean_gap: float
     max_ratio: float | None
-    records: tuple[TrialRecord, ...]
+    gaps: np.ndarray
+    bounds: np.ndarray
 
-    def to_dict(self) -> dict:
+    @property
+    def ratios(self) -> list[float | None]:
+        """``gap / bound`` per trial; None where the bound is not positive."""
+        return [
+            gap / bound if bound > 0.0 else None
+            for gap, bound in zip(self.gaps.tolist(), self.bounds.tolist())
+        ]
+
+    def summary(self) -> dict:
+        """The report without its per-trial columns."""
         return {
             "kind": self.kind.value,
             "trials": self.trials,
@@ -216,9 +227,15 @@ class ValidationReport:
             "max_gap": self.max_gap,
             "mean_gap": self.mean_gap,
             "max_ratio": self.max_ratio,
+        }
+
+    def to_dict(self) -> dict:
+        rows = zip(self.gaps.tolist(), self.bounds.tolist(), self.ratios)
+        return {
+            **self.summary(),
             "per_trial": [
-                {"gap": r.gap, "bound": r.bound, "ratio": r.ratio}
-                for r in self.records
+                {"gap": gap, "bound": bound, "ratio": ratio}
+                for gap, bound, ratio in rows
             ],
         }
 
@@ -270,7 +287,10 @@ def validate_bound(
     Each trial draws the planner's mistaken estimates uniformly within the
     allowed error, lets it pick a subset, and checks that the true value it
     gave up stays within `aggregate_gap_bound` (plus numerical slack).
-    The draw for trial j depends only on (seed, j).
+    The draw for trial j depends only on (seed, j), so a run of N trials is
+    the first N trials of any longer run.  Trials are scored a block at a
+    time, one row of estimates per trial, and the value lost and its bound
+    are computed once per distinct chosen subset.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
@@ -279,36 +299,43 @@ def validate_bound(
     best = select_top_k(true_vals, instance.k)
     best_total = float(np.sum(true_vals[list(best)])) if best else 0.0
 
+    n = instance.n
     scalar = spec.kind is ErrorKind.LEARNING_SPEED
-    eps = spec.epsilon_scalar() if scalar else spec.epsilon_vector(instance.n)
-
-    records = []
-    violations = 0
-    for j in range(trials):
-        rng = np.random.default_rng([seed, j])
+    eps = spec.epsilon_scalar() if scalar else spec.epsilon_vector(n)
+    gaps = np.empty(trials)
+    bounds = np.empty(trials)
+    rows = max(1, BLOCK_CELLS // n)
+    for start in range(0, trials, rows):
+        block = range(start, min(trials, start + rows))
         if scalar:
-            noise: np.ndarray | float = rng.uniform(-eps, eps)
+            noise = np.array(
+                [np.random.default_rng([seed, j]).uniform(-eps, eps) for j in block]
+            )[:, None]
         else:
-            noise = rng.uniform(-1.0, 1.0, size=instance.n) * eps
+            noise = np.array(
+                [np.random.default_rng([seed, j]).uniform(-1.0, 1.0, size=n) for j in block]
+            ) * eps
         mistaken = _perturbed_values(instance, spec.kind, dynamic, noise)
-        chosen = select_top_k(mistaken, instance.k)
-        chosen_total = float(np.sum(true_vals[list(chosen)])) if chosen else 0.0
-        gap = best_total - chosen_total
-        bound = aggregate_gap_bound(report, best, chosen)
-        ratio = gap / bound if bound > 0.0 else None
-        if gap > bound + BOUND_SLACK:
-            violations += 1
-        records.append(TrialRecord(gap=gap, bound=bound, ratio=ratio))
+        chosen = top_k_mask(mistaken, instance.k)
+        masks, which = np.unique(chosen, axis=0, return_inverse=True)
+        scored = []  # (gap, bound) per distinct chosen subset
+        for mask in masks:
+            picked = np.flatnonzero(mask).tolist()
+            chosen_total = float(np.sum(true_vals[picked])) if picked else 0.0
+            scored.append((best_total - chosen_total, aggregate_gap_bound(report, best, picked)))
+        gaps[start : block.stop], bounds[start : block.stop] = (
+            np.array(scored)[which.reshape(-1)].T
+        )
 
-    gaps = np.array([r.gap for r in records])
-    ratios = [r.ratio for r in records if r.ratio is not None]
+    ratios = gaps[bounds > 0.0] / bounds[bounds > 0.0]
     return ValidationReport(
         kind=spec.kind,
         trials=trials,
         seed=seed,
-        violations=violations,
+        violations=int(np.count_nonzero(gaps > bounds + BOUND_SLACK)),
         max_gap=float(np.max(gaps)),
         mean_gap=float(np.mean(gaps)),
-        max_ratio=max(ratios) if ratios else None,
-        records=tuple(records),
+        max_ratio=max(ratios.tolist()) if ratios.size else None,
+        gaps=gaps,
+        bounds=bounds,
     )

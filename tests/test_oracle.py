@@ -1,7 +1,12 @@
-"""Sequence evaluation and brute-force search against analytical plans."""
+"""Sequence evaluation and exact prefix search against analytical plans."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsel import (
     Exponential,
@@ -10,6 +15,7 @@ from teachsel import (
     SelectionSequence,
     Tabulated,
     discounted_baseline_loss,
+    discounted_phi_sum,
     exhaustive_prefix_search,
     mse,
     optimal_stationary_sequence,
@@ -19,6 +25,7 @@ from teachsel import (
 )
 
 from conftest import random_instance
+from teachsel.oracle import _all_subsets
 
 
 def truncated_loss(instance, dynamic, sequence, horizon: int) -> float:
@@ -253,3 +260,142 @@ class TestExhaustivePrefixSearch:
         )
         with pytest.raises(InvalidInputError):
             exhaustive_prefix_search(ok, Exponential(0.0), prefix_length=9)
+
+
+def enumerated_prefix_search(instance, dynamic, prefix_length):
+    """Slow oracle: every prefix in turn, each completed by its best tail.
+
+    Accumulates each candidate's value in the same order as the search, so
+    the two must agree bit for bit.
+    """
+    n, k = instance.n, instance.k
+    delta = instance.delta
+    info = instance.informativeness.tolist()
+    div = instance.divergence0.tolist()
+    phis = [dynamic.phi(m) for m in range(prefix_length + 1)]
+    tail_weights = [
+        discounted_phi_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)
+    ]
+    discounts = [delta**t for t in range(prefix_length + 1)]
+    horizon_mass = 1.0 / (1.0 - delta)
+
+    best_value = -np.inf
+    best_seq = SelectionSequence.all_empty()
+    for prefix in itertools.product(_all_subsets(n, k), repeat=prefix_length):
+        counts = [0] * n
+        value = 0.0
+        for t, subset in enumerate(prefix):
+            for i in subset:
+                value += discounts[t] * (info[i] - phis[counts[i]] * div[i])
+                counts[i] += 1
+        tail_values = [
+            info[i] * horizon_mass - tail_weights[counts[i]] * div[i]
+            for i in range(n)
+        ]
+        order = sorted(range(n), key=lambda i: (-tail_values[i], i))
+        tail = tuple(sorted(i for i in order[:k] if tail_values[i] > 0.0))
+        value += discounts[prefix_length] * sum(tail_values[i] for i in tail)
+        candidate = SelectionSequence(prefix=prefix, tail=tail)
+        if value > best_value or (
+            value == best_value
+            and (candidate.prefix, candidate.tail) < (best_seq.prefix, best_seq.tail)
+        ):
+            best_value = value
+            best_seq = candidate
+    return best_seq, best_value
+
+
+coefficients = st.floats(0.1, 1.5).flatmap(lambda x: st.sampled_from([x, -x]))
+deltas = st.one_of(
+    st.sampled_from([1e-9, 1e-4, 1.0 - 1e-4, 1.0 - 1e-9]), st.floats(0.01, 0.99)
+)
+exponentials = st.builds(
+    Exponential, st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 1e-9]), st.floats(0.0, 1.0))
+)
+
+
+@st.composite
+def tabulated(draw):
+    """Nonincreasing tables, with plateaus and a zero tail among the draws."""
+    steps = draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=4))
+    values = [1.0]
+    for step in steps:
+        values.append(values[-1] * step if draw(st.booleans()) else values[-1])
+    if draw(st.booleans()):
+        values.append(0.0)
+    tail_w = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999)))
+    return Tabulated(tuple(values), tail_w=tail_w)
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(n, 2)))
+    a = draw(st.lists(coefficients, min_size=n, max_size=n))
+    h0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    # Copies of feature 0 tie exactly with it; h0 == a removes a divergence.
+    for i in range(1, n):
+        if draw(st.booleans()):
+            a[i], h0[i] = a[0], h0[0]
+    for i in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            h0[i] = a[i]
+    instance = ProblemInstance(a=a, c=0.0, h0=h0, c_bar=0.0, k=k, delta=draw(deltas))
+    dynamic = draw(st.one_of(exponentials, tabulated()))
+    return instance, dynamic, draw(st.integers(0, 4))
+
+
+class TestSearchMatchesEnumeration:
+    @settings(max_examples=120, deadline=None)
+    @given(case=search_cases())
+    def test_same_sequence_and_value_bits(self, case):
+        instance, dynamic, prefix_length = case
+        expected_seq, expected_value = enumerated_prefix_search(
+            instance, dynamic, prefix_length
+        )
+        # An infinite tol isolates the search from the stationary check,
+        # whose rounding slack is not under test here.
+        seq, value = exhaustive_prefix_search(
+            instance, dynamic, prefix_length, tol=math.inf
+        )
+        assert (seq.prefix, seq.tail) == (expected_seq.prefix, expected_seq.tail)
+        assert value.hex() == expected_value.hex()
+        # No prefix beats the planner's stationary plan, which is searched
+        # too; the two differ only by float64 rounding of a dozen terms.
+        stationary = optimal_stationary_sequence(instance, dynamic).total_value
+        assert math.isclose(value, stationary, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_exact_ties_go_to_the_smaller_prefix(self):
+        # Four copies of one feature: every prefix of the same shape ties.
+        inst = ProblemInstance(
+            a=[0.8] * 4, c=0.0, h0=[-0.3] * 4, c_bar=0.0, k=2, delta=0.6
+        )
+        for dyn in (Exponential(0.7), Tabulated((1.0, 0.5, 0.5, 0.1), tail_w=0.2)):
+            expected = enumerated_prefix_search(inst, dyn, 4)
+            seq, value = exhaustive_prefix_search(inst, dyn, 4)
+            assert (seq.prefix, seq.tail) == (expected[0].prefix, expected[0].tail)
+            assert value.hex() == expected[1].hex()
+
+    def test_rounding_tie_goes_to_the_smaller_prefix(self):
+        # With w = 1 features 0 and 2 are interchangeable at every count.
+        # Prefixes ((0,1),(0,1),(1,2)) and ((0,1),(1,2),(0,1)) reach the same
+        # counts with values one rounding apart, the smaller one first; the
+        # last additions round both to the same total, so the enumeration
+        # keeps the smaller prefix.  A search that kept only the larger value
+        # per count vector would return the other one.
+        inst = ProblemInstance(
+            a=[1.217596867500203, -0.5404444483533197, 1.217596867500203,
+               -1.0338888103465524],
+            c=0.0,
+            h0=[0.01667024140959712, -0.15774200278163147, 0.01667024140959712,
+                0.24355419001125628],
+            c_bar=0.0,
+            k=2,
+            delta=0.554903509343319,
+        )
+        dyn = Exponential(1.0)
+        expected = enumerated_prefix_search(inst, dyn, 3)
+        seq, value = exhaustive_prefix_search(inst, dyn, 3, tol=math.inf)
+        assert expected[0].prefix == ((0, 1), (0, 1), (1, 2))
+        assert (seq.prefix, seq.tail) == (expected[0].prefix, expected[0].tail)
+        assert value.hex() == expected[1].hex()

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsel import (
     Exponential,
@@ -17,6 +19,8 @@ from teachsel import (
     stationary_feature_value,
     stationary_values,
 )
+
+from teachsel.planner import select_top_k
 
 from conftest import random_instance
 
@@ -213,3 +217,20 @@ class TestDiscountedBaselineLoss:
                 inst, Exponential(0.5), SelectionSequence.all_empty()
             )
             assert discounted_baseline_loss(inst) == pytest.approx(loss, abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 0.5, 2.0]), min_size=n, max_size=n),
+            min_size=1,
+            max_size=8,
+        )
+    ),
+    k=st.integers(0, 7),
+)
+def test_row_wise_selection_matches_one_row_at_a_time(rows, k):
+    values = np.array(rows)
+    expected = [select_top_k(row, k) for row in values]
+    assert select_top_k(values, k) == expected

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from teachsel import robustness
 from teachsel import (
     ErrorKind,
     ErrorSpec,
@@ -14,10 +15,65 @@ from teachsel import (
     margins,
     validate_bound,
 )
+from teachsel.planner import select_top_k
+from teachsel.robustness import _perturbed_values, _true_values
 
 from conftest import random_instance
 
 ALL_KINDS = list(ErrorKind)
+
+
+def bits(report) -> dict:
+    """Every field and column of a validation report, floats as exact hex."""
+    def exact(x):
+        return x.hex() if isinstance(x, float) else x
+
+    return {
+        **{key: exact(value) for key, value in report.summary().items()},
+        "gaps": report.gaps.tobytes(),
+        "bounds": report.bounds.tobytes(),
+        "ratios": [exact(r) for r in report.ratios],
+    }
+
+
+def scalar_validate(instance, spec, trials, seed, dynamic=None) -> dict:
+    """Slow oracle: one draw, one top-k selection and one bound per trial."""
+    report = margins(instance, spec, dynamic)
+    true_vals = _true_values(instance, spec.kind, dynamic)
+    best = select_top_k(true_vals, instance.k)
+    best_total = float(np.sum(true_vals[list(best)])) if best else 0.0
+    scalar = spec.kind is ErrorKind.LEARNING_SPEED
+    eps = spec.epsilon_scalar() if scalar else spec.epsilon_vector(instance.n)
+    gaps, bounds, ratios, violations = [], [], [], 0
+    for j in range(trials):
+        rng = np.random.default_rng([seed, j])
+        if scalar:
+            noise = rng.uniform(-eps, eps)
+        else:
+            noise = rng.uniform(-1.0, 1.0, size=instance.n) * eps
+        mistaken = _perturbed_values(instance, spec.kind, dynamic, noise)
+        chosen = select_top_k(mistaken, instance.k)
+        chosen_total = float(np.sum(true_vals[list(chosen)])) if chosen else 0.0
+        gap = best_total - chosen_total
+        bound = aggregate_gap_bound(report, best, chosen)
+        if gap > bound + robustness.BOUND_SLACK:
+            violations += 1
+        gaps.append(gap)
+        bounds.append(bound)
+        ratios.append(gap / bound if bound > 0.0 else None)
+    present = [r for r in ratios if r is not None]
+    return {
+        "kind": spec.kind.value,
+        "trials": trials,
+        "seed": seed,
+        "violations": violations,
+        "max_gap": float(np.max(gaps)).hex(),
+        "mean_gap": float(np.mean(gaps)).hex(),
+        "max_ratio": max(present).hex() if present else None,
+        "gaps": np.array(gaps).tobytes(),
+        "bounds": np.array(bounds).tobytes(),
+        "ratios": [None if r is None else r.hex() for r in ratios],
+    }
 
 
 def margin_caps(instance, kind):
@@ -198,7 +254,7 @@ class TestValidateBound:
         spec = ErrorSpec(ErrorKind.TRUTH_STATIC, 0.05)
         first = validate_bound(three_feature_instance, spec, trials=30, seed=5)
         second = validate_bound(three_feature_instance, spec, trials=30, seed=5)
-        assert first == second
+        assert bits(first) == bits(second)
 
     def test_report_serializes(self, three_feature_instance):
         report = validate_bound(
@@ -210,3 +266,63 @@ class TestValidateBound:
         doc = report.to_dict()
         assert doc["trials"] == 5
         assert len(doc["per_trial"]) == 5
+
+
+def differential_cases():
+    """(instance, spec) pairs for every error kind, scalar and vector epsilon,
+    k = 0, k = n, and exactly tied features."""
+    rng = np.random.default_rng(83)
+    a = np.array([0.9, -0.7, 0.5, 0.5, -1.2, 0.3])
+    h0 = np.array([0.2, 0.1, 1.1, 1.1, -0.4, -0.5])
+    tied = np.array([0.6, 0.6, 0.6, 0.4])
+    instances = [
+        ProblemInstance(a=a, c=0.1, h0=h0, c_bar=0.0, k=3, delta=0.8),
+        ProblemInstance(a=a, c=0.1, h0=h0, c_bar=0.0, k=0, delta=0.8),
+        ProblemInstance(a=a, c=0.1, h0=h0, c_bar=0.0, k=6, delta=0.3),
+        ProblemInstance(a=tied, c=0.0, h0=tied - 0.5, c_bar=0.0, k=2, delta=0.9),
+    ]
+    for inst in instances:
+        for kind in ALL_KINDS:
+            caps = np.minimum(margin_caps(inst, kind), 0.3)
+            if kind is ErrorKind.LEARNING_SPEED:
+                epsilons = [0.0, 0.2, [0.4]]
+            else:
+                epsilons = [0.0, float(0.9 * np.min(caps)), caps * rng.uniform(0, 1, inst.n)]
+            for eps in epsilons:
+                yield inst, ErrorSpec(kind, eps)
+
+
+class TestValidateBoundMatchesScalarLoop:
+    @pytest.mark.parametrize("trials", [1, 2, 300])
+    def test_every_field_and_column_bitwise(self, trials):
+        dyn = Exponential(0.5)
+        for inst, spec in differential_cases():
+            expected = scalar_validate(inst, spec, trials, seed=11, dynamic=dyn)
+            report = validate_bound(inst, spec, trials=trials, seed=11, dynamic=dyn)
+            assert bits(report) == expected, (inst.k, spec)
+
+    def test_blocks_of_trials_change_nothing(self, monkeypatch):
+        dyn = Exponential(0.5)
+        cases = list(differential_cases())[::3]
+        whole = [validate_bound(i, s, trials=40, seed=3, dynamic=dyn) for i, s in cases]
+        monkeypatch.setattr(robustness, "BLOCK_CELLS", 13)
+        for (inst, spec), report in zip(cases, whole):
+            blocked = validate_bound(inst, spec, trials=40, seed=3, dynamic=dyn)
+            assert bits(blocked) == bits(report)
+
+    def test_trial_draws_depend_only_on_seed_and_index(self):
+        dyn = Exponential(0.5)
+        for inst, spec in list(differential_cases())[::4]:
+            short = validate_bound(inst, spec, trials=7, seed=2, dynamic=dyn)
+            long = validate_bound(inst, spec, trials=50, seed=2, dynamic=dyn)
+            assert short.gaps.tobytes() == long.gaps[:7].tobytes()
+            assert short.bounds.tobytes() == long.bounds[:7].tobytes()
+
+    def test_to_dict_lists_every_trial(self, three_feature_instance):
+        spec = ErrorSpec(ErrorKind.TRUTH_STATIC, 0.05)
+        report = validate_bound(three_feature_instance, spec, trials=40, seed=4)
+        rows = report.to_dict()["per_trial"]
+        assert [r["gap"] for r in rows] == report.gaps.tolist()
+        assert [r["bound"] for r in rows] == report.bounds.tolist()
+        assert [r["ratio"] for r in rows] == report.ratios
+

@@ -284,6 +284,26 @@ class TestCliCommands:
         assert code == 0
         assert doc["margins"][1]["lower_margin"] == 0.0
 
+    # NaN used to pass every bound check and inf to make it unfalsifiable;
+    # learning-speed draws with them raised a raw OverflowError (exit 1).
+    @pytest.mark.parametrize(
+        "kind, epsilon",
+        [
+            ("truth-static", "nan"),
+            ("truth-static", "inf"),
+            ("truth-static", "1e400"),
+            ("human-static", "0.01,nan,0.01"),
+            ("learning-speed", "nan"),
+            ("learning-speed", "inf"),
+        ],
+    )
+    def test_misspec_non_finite_epsilon_exits_2(self, capsys, three_scenario, kind, epsilon):
+        code, out, err = run_cli(
+            capsys, "misspec", three_scenario, "--kind", kind, "--epsilon", epsilon,
+            "--trials", "2",
+        )
+        assert (code, out, err) == (2, "", "error: epsilon must be finite\n")
+
     def test_output_file(self, capsys, three_scenario, tmp_path):
         out_path = tmp_path / "table.csv"
         code, out, _ = run_cli(

@@ -152,3 +152,28 @@ def test_columnar_writers_match_oracle_on_random_tables(rows):
     payload = {"subset": "1+2", "degenerate": False}
     expected = json.dumps({**payload, "reports": records}, indent=2) + "\n"
     assert _json_with_rows(payload, "reports", table) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(floats, st.one_of(st.none(), floats), st.integers(-5, 5)),
+        min_size=1,
+        max_size=20,
+    ),
+    depth=st.integers(1, 3),
+)
+def test_nested_rows_match_json_dumps(rows, depth):
+    gaps, ratios, ints = (list(col) for col in zip(*rows))
+    table = {"gap": np.array(gaps), "ratio": ratios, "trial": ints}
+    records = [{"gap": g, "ratio": r, "trial": i} for g, r, i in zip(gaps, ratios, ints)]
+    keys = [f"level{d}" for d in range(depth - 1)] + ["per_trial"]
+    payload = inner = {"kind": "truth-static", "seed": 3}
+    expected = expected_inner = {**payload}
+    for key in keys[:-1]:
+        inner[key] = {"violations": 0}
+        expected_inner[key] = {"violations": 0}
+        inner, expected_inner = inner[key], expected_inner[key]
+    expected_inner[keys[-1]] = records
+    text = _json_with_rows(payload, ".".join(keys), table)
+    assert text == json.dumps(expected, indent=2) + "\n"
