@@ -21,7 +21,7 @@ from teachsel.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENARIOS = ("three_tests", "two_features")
+SCENARIOS = ("tabulated", "three_tests", "two_features")
 # case label -> command and its options
 COMMANDS = {
     "eval-static": ["eval-static"],
