@@ -72,7 +72,9 @@ def _json_cells(column) -> list[str]:
     """JSON text of each cell, as ``json.dumps`` writes it."""
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    elif isinstance(column[0], str):
+    if not column:
+        return []
+    if isinstance(column[0], str):
         return list(map(json.encoder.encode_basestring_ascii, column))
     # Numbers, booleans and null never contain ", ", so the list's items
     # split apart; json's own rule writes nan as NaN and inf as Infinity.
@@ -86,8 +88,8 @@ def _json_with_rows(payload: dict, key: str, table: dict) -> str:
 
     A dotted `key` nests the rows: with ``"validation.per_trial"`` they go
     last in ``payload["validation"]``, which must be the payload's last key.
-    String columns are lists of str; `table` and every dict on the path are
-    not empty.
+    String columns are lists of str.  An empty table gives ``[]``; every
+    dict on the path but the payload itself must not be empty.
     """
     *parents, name = key.split(".")
     head = json.dumps(payload, indent=2)
@@ -100,9 +102,14 @@ def _json_with_rows(payload: dict, key: str, table: dict) -> str:
         f"{pad}    {json.encoder.encode_basestring_ascii(column)}: %s" for column in table
     )
     rows = ",\n".join(map(template.__mod__, zip(*map(_json_cells, table.values()))))
-    return (
-        f"{head[: -len(closing)]},\n{pad}{json.encoder.encode_basestring_ascii(name)}: "
-        f"[\n{rows}\n{pad}]{closing}\n"
+    lead = f"{head[: -len(closing)]}," if payload else "{"
+    # One join, so the rows text is copied once.
+    return "".join(
+        (
+            f"{lead}\n{pad}{json.encoder.encode_basestring_ascii(name)}: ",
+            *(("[\n", rows, f"\n{pad}]") if rows else ("[]",)),
+            f"{closing}\n",
+        )
     )
 
 
@@ -186,17 +193,16 @@ def cmd_plan_stationary(scenario: Scenario, args) -> int:
 
 def cmd_switch_points(scenario: Scenario, args) -> int:
     points = tradeoff.all_switch_points(scenario.instance, scenario.dynamic)
-    thresholds = [p.threshold for p in points]
+    thresholds = [None if t != t else t for t in points.threshold.tolist()]
     table = {
-        "i": [p.pair.i + 1 for p in points],
-        "j": [p.pair.j + 1 for p in points],
-        "delta_info": np.array([p.pair.delta_info for p in points]),
-        "delta_div": np.array([p.pair.delta_div for p in points]),
-        "kind": [p.kind for p in points],
+        "i": points.i + 1,
+        "j": points.j + 1,
+        "delta_info": points.delta_info,
+        "delta_div": points.delta_div,
+        "kind": points.kind,
         "threshold": thresholds,
     }
-    payload = {"points": _records(table)}
-    _emit(args, {**table, "threshold": _optional_cells(thresholds)}, payload)
+    _emit(args, {**table, "threshold": _optional_cells(thresholds)}, {}, "points", table)
     return 0
 
 

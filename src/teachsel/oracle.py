@@ -8,6 +8,7 @@ and small instances are searched exactly over every bounded prefix.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -104,6 +105,15 @@ def _tail_counts(instance: ProblemInstance, seq: SelectionSequence) -> np.ndarra
     return counts
 
 
+def _check_tol(tol: float) -> None:
+    """A tolerance is a positive finite number: nan or inf would make every
+    check pass."""
+    if tol <= 0.0:
+        raise InvalidInputError("tol must be positive")
+    if not math.isfinite(tol):
+        raise InvalidInputError("tol must be finite")
+
+
 def sequence_loss(
     instance: ProblemInstance,
     dynamic: LearningDynamic,
@@ -118,8 +128,7 @@ def sequence_loss(
     evaluation error; the geometric closed forms used here are exact, so it
     only matters for the truncated fallback paths.
     """
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
     seq = sequence.validated(instance)
     delta = instance.delta
     T = len(seq.prefix)
@@ -155,8 +164,7 @@ def sequence_value(
     ``sum_t delta^t sum_{i in A_t} (a_i^2 - phi(m_i(t)) * (a_i - h0_i)^2)``,
     independently of `sequence_loss`.
     """
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
     seq = sequence.validated(instance)
     delta = instance.delta
     info = instance.informativeness
@@ -213,8 +221,7 @@ def exhaustive_prefix_search(
         raise InvalidInputError(
             f"prefix length must lie in [0, {MAX_SEARCH_PREFIX}]"
         )
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
+    _check_tol(tol)
 
     n, k = instance.n, instance.k
     delta = instance.delta

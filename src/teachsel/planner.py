@@ -128,19 +128,17 @@ def stationary_feature_value(
     """Discounted value of revealing feature `i` at every step forever."""
     if not 0 <= int(i) < instance.n:
         raise InvalidInputError(f"feature index {i} out of range [0, {instance.n})")
-    weight = discounted_phi_sum(dynamic, instance.delta)
-    return float(
-        instance.informativeness[i] / (1.0 - instance.delta)
-        - weight * instance.divergence0[i]
-    )
+    return float(stationary_values(instance, dynamic)[i])
 
 
 def stationary_values(
-    instance: ProblemInstance, dynamic: LearningDynamic
+    instance: ProblemInstance, dynamic: LearningDynamic, deltas=None
 ) -> np.ndarray:
-    """Vector of stationary per-feature values at the instance's delta."""
-    weight = discounted_phi_sum(dynamic, instance.delta)
-    return instance.informativeness / (1.0 - instance.delta) - weight * instance.divergence0
+    """Stationary per-feature values at the instance's delta, or at each of
+    `deltas` (one row per patience level)."""
+    d = instance.delta if deltas is None else np.asarray(deltas, dtype=float)[:, None]
+    weight = discounted_phi_sum(dynamic, d)
+    return instance.informativeness / (1.0 - d) - weight * instance.divergence0
 
 
 def optimal_stationary_sequence(

@@ -5,6 +5,12 @@ there is a single patience threshold: below it the planner prefers the
 feature the human already understands, above it the feature worth teaching.
 This module locates those thresholds, sweeps patience and learning-rate
 grids, and enumerates every subset that is optimal somewhere in (0, 1).
+
+Thresholds are columns: `all_switch_points` returns one `SwitchTable` row
+per ordered pair, and every threshold, under any dynamic, comes from one
+vectorized bisection, `inverse_weight_cdf`.  The optimal subset at many
+patience levels is labeled in blocks of rows (`_top_k_masks`), so probing
+costs a few array operations per block instead of a top-k per level.
 """
 
 from __future__ import annotations
@@ -22,10 +28,17 @@ from .dynamics import (
 )
 from .errors import InvalidInputError
 from .model import FeatureSubset, ProblemInstance, subset_informativeness
-from .planner import optimal_stationary_sequence, select_top_k
+from .planner import (
+    optimal_stationary_sequence,
+    select_top_k,
+    stationary_values,
+    top_k_mask,
+)
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 60
+# Stationary values per block of probed patience levels.
+PROBE_BLOCK = 1 << 14
 ALWAYS_PREFERRED = "always_i"
 THRESHOLD = "threshold"
 
@@ -86,67 +99,136 @@ class SwitchPoint:
         return ALWAYS_PREFERRED if self.threshold is None else THRESHOLD
 
 
-def learning_weight_cdf(dynamic: LearningDynamic, delta: float) -> float:
+@dataclass(frozen=True, eq=False)
+class SwitchTable:
+    """One row per ordered pair of features with distinct informativeness.
+
+    `i` (0-based) is the more informative feature of the row and `j` the
+    other; rows follow ``i < j`` row-major order of the unordered pairs.
+    `threshold` is the patience level above which `i` wins, NaN where `i`
+    is weakly preferred at every patience level.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    delta_info: np.ndarray
+    delta_div: np.ndarray
+    threshold: np.ndarray
+
+    @property
+    def kind(self) -> list[str]:
+        return np.where(np.isnan(self.threshold), ALWAYS_PREFERRED, THRESHOLD).tolist()
+
+
+def learning_weight_cdf(dynamic: LearningDynamic, delta):
     """``F(delta) = sum_{t>=1} delta^t * (phi(t-1) - phi(t))``.
 
     The discounted mass of learning gains: strictly increasing from 0
-    toward 1 as patience grows, for any convergent dynamic.
+    toward 1 as patience grows, for any convergent dynamic.  Broadcasts
+    over an array of delta.
     """
     return 1.0 - (1.0 - delta) * discounted_phi_sum(dynamic, delta)
 
 
-def _bisect_weight_cdf(dynamic: LearningDynamic, target: float) -> float:
-    """Unique delta with learning_weight_cdf(delta) == target, 0 < target < 1."""
-    lo, hi = 0.0, 1.0  # F(0) = 0 and F(1) = 1 hold for convergent dynamics
+def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
+    """The delta with ``learning_weight_cdf(delta) == target`` for each of a
+    1-d array of `targets` in (0, 1).
+
+    Bisection from the bracket [0, 1] (F(0) = 0 and F(1) = 1 for convergent
+    dynamics), run on every element at once.  Each element takes the steps
+    a scalar loop would, and stops once its bracket is narrower than
+    `BISECT_TOL`, or after `BISECT_MAX_ITER` steps.
+    """
+    targets = np.asarray(targets, dtype=float)
+    lo = np.zeros(targets.shape)
+    hi = np.ones(targets.shape)
     for _ in range(BISECT_MAX_ITER):
-        if hi - lo < BISECT_TOL:
+        live = np.flatnonzero(~(hi - lo < BISECT_TOL))
+        if live.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        if learning_weight_cdf(dynamic, mid) < target:
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[live] + hi[live])
+        below = learning_weight_cdf(dynamic, mid) < targets[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
     return 0.5 * (lo + hi)
+
+
+def _thresholds(
+    dynamic: LearningDynamic, delta_info: np.ndarray, delta_div: np.ndarray
+) -> np.ndarray:
+    """Each pair's threshold under `dynamic`; NaN where ``delta_info >= delta_div``."""
+    need = ~(delta_info >= delta_div)
+    out = np.full(delta_info.shape, np.nan)
+    if need.any():
+        if not dynamic.converges():
+            raise InvalidInputError(
+                "dynamic never converges; the threshold equation has no solution"
+            )
+        out[need] = inverse_weight_cdf(dynamic, 1.0 - delta_info[need] / delta_div[need])
+    return out
+
+
+def _closed_form_thresholds(
+    w: float, delta_info: np.ndarray, delta_div: np.ndarray
+) -> np.ndarray:
+    """Geometric thresholds ``(dI - dD) / (w^2*dI - dD)``; NaN where ``dI >= dD``."""
+    if not 0.0 <= w < 1.0:
+        raise InvalidInputError(f"retention w={w} outside [0, 1)")
+    need = ~(delta_info >= delta_div)
+    out = np.full(delta_info.shape, np.nan)
+    out[need] = (delta_info[need] - delta_div[need]) / (
+        w**2 * delta_info[need] - delta_div[need]
+    )
+    return out
+
+
+def _one_pair(thresholds, pair: PairGap, *args) -> SwitchPoint:
+    t = thresholds(*args, np.array([pair.delta_info]), np.array([pair.delta_div]))[0]
+    return SwitchPoint(pair=pair, threshold=None if np.isnan(t) else float(t))
 
 
 def switching_point(pair: PairGap, dynamic: LearningDynamic) -> SwitchPoint:
     """Locate the pair's patience threshold under an arbitrary dynamic."""
-    if pair.delta_info >= pair.delta_div:
-        return SwitchPoint(pair=pair, threshold=None)
-    if not dynamic.converges():
-        raise InvalidInputError(
-            "dynamic never converges; the threshold equation has no solution"
-        )
-    target = 1.0 - pair.delta_info / pair.delta_div
-    return SwitchPoint(pair=pair, threshold=_bisect_weight_cdf(dynamic, target))
+    return _one_pair(_thresholds, pair, dynamic)
 
 
 def switching_point_closed_form(pair: PairGap, w: float) -> SwitchPoint:
     """Threshold under geometric learning: ``(dI - dD) / (w^2*dI - dD)``."""
-    if not 0.0 <= w < 1.0:
-        raise InvalidInputError(f"retention w={w} outside [0, 1)")
-    if pair.delta_info >= pair.delta_div:
-        return SwitchPoint(pair=pair, threshold=None)
-    threshold = (pair.delta_info - pair.delta_div) / (
-        w**2 * pair.delta_info - pair.delta_div
-    )
-    return SwitchPoint(pair=pair, threshold=float(threshold))
+    return _one_pair(_closed_form_thresholds, pair, w)
 
 
-def all_switch_points(
-    instance: ProblemInstance, dynamic: LearningDynamic
-) -> list[SwitchPoint]:
-    """Switch points for every informativeness-distinct feature pair.
+def _pair_columns(instance: ProblemInstance):
+    """Ordered pairs as columns `i`, `j`, `delta_info`, `delta_div`.
 
-    Equally informative pairs have no ordered comparison and are skipped.
+    The unordered pairs ``i < j`` in row-major order, without the equally
+    informative ones (they have no ordered comparison); each row then puts
+    its more informative feature first.
     """
-    points = []
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            if instance.informativeness[i] == instance.informativeness[j]:
-                continue
-            points.append(switching_point(pair_gap(instance, i, j), dynamic))
-    return points
+    info = instance.informativeness
+    div = instance.divergence0
+    i, j = np.triu_indices(instance.n, 1)
+    distinct = info[i] != info[j]
+    i, j = i[distinct], j[distinct]
+    swap = info[i] < info[j]
+    i, j = np.where(swap, j, i), np.where(swap, i, j)
+    return i, j, info[i] - info[j], div[i] - div[j]
+
+
+def all_switch_points(instance: ProblemInstance, dynamic: LearningDynamic) -> SwitchTable:
+    """The threshold table of every informativeness-distinct feature pair.
+
+    All thresholds come from one `inverse_weight_cdf` call, whatever the
+    dynamic.  A dynamic that never converges is an error only when some
+    pair needs a threshold.
+    """
+    i, j, delta_info, delta_div = _pair_columns(instance)
+    return SwitchTable(
+        i=i,
+        j=j,
+        delta_info=delta_info,
+        delta_div=delta_div,
+        threshold=_thresholds(dynamic, delta_info, delta_div),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +250,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _value_matrix(
-    instance: ProblemInstance, dynamic: LearningDynamic, deltas: np.ndarray
-) -> np.ndarray:
-    """Stationary per-feature values, one row per patience level."""
-    weights = np.asarray(discounted_phi_sum(dynamic, deltas))
-    info = instance.informativeness
-    div = instance.divergence0
-    return info[None, :] / (1.0 - deltas)[:, None] - weights[:, None] * div[None, :]
-
-
 def sweep_delta(
     instance: ProblemInstance, dynamic: LearningDynamic, grid
 ) -> SweepResult:
@@ -189,7 +261,7 @@ def sweep_delta(
         raise InvalidInputError("grid values must lie strictly inside (0,1)")
     if np.any(np.diff(deltas) <= 0.0):
         raise InvalidInputError("grid must be strictly increasing")
-    values = _value_matrix(instance, dynamic, deltas)
+    values = stationary_values(instance, dynamic, deltas)
     subsets = select_top_k(values, instance.k)
     mse0 = instance.mse_empty()
     info = instance.informativeness
@@ -221,64 +293,81 @@ class SubsetInterval:
     informativeness: float
 
 
-def _subset_at(instance: ProblemInstance, dynamic: LearningDynamic, d: float) -> FeatureSubset:
-    values = _value_matrix(instance, dynamic, np.array([d]))
-    return select_top_k(values[0], instance.k)
+def _top_k_masks(
+    instance: ProblemInstance, dynamic: LearningDynamic, deltas: np.ndarray
+) -> np.ndarray:
+    """The optimal subset's mask at each of `deltas`, one row per level.
+
+    Values are computed in blocks of about `PROBE_BLOCK`, so memory stays
+    flat however many levels are probed.
+    """
+    rows = max(1, PROBE_BLOCK // max(instance.n, 1))
+    masks = np.empty((deltas.size, instance.n), dtype=bool)
+    for start in range(0, deltas.size, rows):
+        block = slice(start, start + rows)
+        values = stationary_values(instance, dynamic, deltas[block])
+        masks[block] = top_k_mask(values, instance.k)
+    return masks
+
+
+def _changes(masks: np.ndarray) -> np.ndarray:
+    """Whether each row's subset differs from the row before it."""
+    return (masks[1:] != masks[:-1]).any(axis=1)
 
 
 def _positivity_thresholds(
     instance: ProblemInstance, dynamic: LearningDynamic
-) -> list[float]:
+) -> np.ndarray:
     """Patience levels where a single feature's stationary value crosses zero.
 
     Setting the value of feature i to zero gives the same threshold
     equation as a pair comparison against a worthless dummy feature, so the
-    bisection on the learning-weight cdf applies with target 1 - info/div.
+    pair thresholds apply with gaps ``info_i`` and ``div_i``.  Features
+    whose value is positive for every delta have no root.
     """
-    roots = []
-    for i in range(instance.n):
-        info = float(instance.informativeness[i])
-        div = float(instance.divergence0[i])
-        if div > info:  # otherwise the value is positive for every delta
-            roots.append(_bisect_weight_cdf(dynamic, 1.0 - info / div))
-    return roots
+    roots = _thresholds(dynamic, instance.informativeness, instance.divergence0)
+    return roots[~np.isnan(roots)]
 
 
 def _assemble_intervals(
     instance: ProblemInstance,
     dynamic: LearningDynamic,
-    boundaries: list[float],
+    boundaries: np.ndarray,
     probe_offset: float = 1e-9,
 ) -> list[SubsetInterval]:
-    """Probe just right of each boundary and merge equal-subset intervals.
+    """Probe just right of each sorted boundary and merge equal-subset intervals.
 
     `probe_offset` must exceed the uncertainty of the boundary locations or
     probes can land on the wrong side.
     """
-    edges = [0.0] + sorted(boundaries) + [1.0]
-    intervals: list[SubsetInterval] = []
-    for lo, hi in zip(edges, edges[1:]):
-        if hi - lo <= 0.0:
-            continue
-        probe = lo + min(probe_offset, 0.5 * (hi - lo))
-        subset = _subset_at(instance, dynamic, probe)
-        if intervals and intervals[-1].subset == subset:
-            prev = intervals[-1]
-            intervals[-1] = SubsetInterval(prev.lo, hi, subset, prev.informativeness)
-        else:
-            intervals.append(
-                SubsetInterval(lo, hi, subset, subset_informativeness(instance, subset))
+    edges = np.concatenate(([0.0], boundaries, [1.0]))
+    lo, hi = edges[:-1], edges[1:]
+    wide = hi - lo > 0.0
+    lo, hi = lo[wide], hi[wide]
+    masks = _top_k_masks(instance, dynamic, lo + np.minimum(probe_offset, 0.5 * (hi - lo)))
+    starts = np.flatnonzero(np.concatenate(([True], _changes(masks))))
+    ends = np.append(starts[1:], lo.size) - 1
+    intervals = []
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        subset = tuple(np.flatnonzero(masks[start]).tolist())
+        intervals.append(
+            SubsetInterval(
+                float(lo[start]),
+                float(hi[end]),
+                subset,
+                subset_informativeness(instance, subset),
             )
+        )
     return intervals
 
 
-def _dedupe(points: list[float], tol: float = 1e-12) -> list[float]:
-    points = sorted(p for p in points if 0.0 < p < 1.0)
+def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The points inside (0, 1), sorted, each more than `tol` above the last kept."""
     merged: list[float] = []
-    for p in points:
+    for p in np.sort(points[(points > 0.0) & (points < 1.0)]).tolist():
         if not merged or p - merged[-1] > tol:
             merged.append(p)
-    return merged
+    return np.array(merged)
 
 
 def enumerate_optimal_subsets(
@@ -289,10 +378,13 @@ def enumerate_optimal_subsets(
 ) -> list[SubsetInterval]:
     """Partition (0,1) into maximal patience intervals with a constant optimum.
 
-    With geometric learning every candidate boundary is available exactly
-    (pairwise thresholds in closed form, positivity thresholds by
-    bisection), so the partition is exact.  Other dynamics fall back to a
-    coarse scan refined around detected changes down to `grid_resolution`.
+    With geometric learning every candidate boundary is available exactly:
+    the pair columns of `all_switch_points` give every pair threshold in
+    closed form, and positivity thresholds come from `inverse_weight_cdf`.
+    One blocked probe per boundary then labels every interval, so the
+    partition is exact.  Other dynamics fall back to a coarse scan refined
+    around detected changes down to `grid_resolution`, with every bracket
+    bisected in lockstep.
     """
     if isinstance(w_or_dynamic, (int, float)):
         dynamic: LearningDynamic = Exponential(float(w_or_dynamic))
@@ -301,16 +393,13 @@ def enumerate_optimal_subsets(
     if isinstance(dynamic, Exponential):
         if not dynamic.converges():
             raise InvalidInputError("dynamic never converges; values have no limit")
-        candidates = _positivity_thresholds(instance, dynamic)
-        for i in range(instance.n):
-            for j in range(i + 1, instance.n):
-                if instance.informativeness[i] == instance.informativeness[j]:
-                    continue
-                point = switching_point_closed_form(
-                    pair_gap(instance, i, j), dynamic.w
-                )
-                if point.threshold is not None:
-                    candidates.append(point.threshold)
+        _, _, delta_info, delta_div = _pair_columns(instance)
+        candidates = np.concatenate(
+            (
+                _positivity_thresholds(instance, dynamic),
+                _closed_form_thresholds(dynamic.w, delta_info, delta_div),
+            )
+        )
         return _assemble_intervals(instance, dynamic, _dedupe(candidates))
     return _enumerate_by_grid(instance, dynamic, grid_resolution)
 
@@ -318,41 +407,50 @@ def enumerate_optimal_subsets(
 def _enumerate_by_grid(
     instance: ProblemInstance, dynamic: LearningDynamic, resolution: float
 ) -> list[SubsetInterval]:
-    xs = list(np.linspace(resolution, 1.0 - resolution, 1025))
-    labels = {x: _subset_at(instance, dynamic, x) for x in xs}
+    """Scan a grid, bisect each change bracket down to `resolution`, and
+    re-scan twice with the midpoints of the gaps to catch hidden changes,
+    bisecting again after each re-scan.
 
-    def refine_changes() -> list[float]:
-        """Bisect every adjacent change bracket down to `resolution` width."""
-        found = []
-        pts = sorted(labels)
-        for lo, hi in zip(pts, pts[1:]):
-            if labels[lo] == labels[hi]:
-                continue
-            a, b = lo, hi
-            while b - a > resolution:
-                mid = 0.5 * (a + b)
-                labels[mid] = _subset_at(instance, dynamic, mid)
-                if labels[mid] == labels[a]:
-                    a = mid
-                else:
-                    b = mid
-            found.append(0.5 * (a + b))
-        return found
-
-    boundaries: list[float] = []
-    for _ in range(3):  # re-scan with interval midpoints to catch hidden changes
-        boundaries = refine_changes()
-        pts = sorted(labels)
-        for lo, hi in zip(pts, pts[1:]):
-            mid = 0.5 * (lo + hi)
-            if hi - lo > resolution and mid not in labels:
-                labels[mid] = _subset_at(instance, dynamic, mid)
+    The brackets are disjoint, so bisecting them in lockstep (one blocked
+    probe per step, each bracket with its own stop) finds the boundaries a
+    bracket-by-bracket loop would.  The boundaries come from the last
+    bisection; a re-scan after it could change nothing, so none is made.
+    """
+    xs = np.linspace(resolution, 1.0 - resolution, 1025)
+    masks = _top_k_masks(instance, dynamic, xs)
+    for scan in range(3):
+        if scan:
+            gaps = np.flatnonzero(xs[1:] - xs[:-1] > resolution)
+            mids = 0.5 * (xs[gaps] + xs[gaps + 1])
+            xs, masks = _merge([xs, mids], [masks, _top_k_masks(instance, dynamic, mids)])
+        change = np.flatnonzero(_changes(masks))
+        a, b = xs[change], xs[change + 1]
+        left = masks[change]  # every point `a` moves to has this subset
+        new_xs, new_masks = [xs], [masks]
+        live = np.flatnonzero(b - a > resolution)
+        while live.size:
+            mids = 0.5 * (a[live] + b[live])
+            probed = _top_k_masks(instance, dynamic, mids)
+            same = (probed == left[live]).all(axis=1)
+            a[live[same]] = mids[same]
+            b[live[~same]] = mids[~same]
+            new_xs.append(mids)
+            new_masks.append(probed)
+            live = live[b[live] - a[live] > resolution]
+        xs, masks = _merge(new_xs, new_masks)
     return _assemble_intervals(
         instance,
         dynamic,
-        _dedupe(boundaries, tol=resolution),
+        _dedupe(0.5 * (a + b), tol=resolution),
         probe_offset=2.0 * resolution,
     )
+
+
+def _merge(xs: list[np.ndarray], masks: list[np.ndarray]):
+    """Labeled points (all distinct) and their masks, sorted by point."""
+    points = np.concatenate(xs)
+    order = np.argsort(points, kind="stable")
+    return points[order], np.concatenate(masks)[order]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from teachsel import (
     ProblemInstance,
     SelectionSequence,
     Tabulated,
+    all_switch_points,
+    enumerate_optimal_subsets,
     is_more_efficient,
     mse,
     optimal_stationary_sequence,
@@ -364,6 +366,35 @@ def test_criterion_9_large_instance_performance(record, tmp_path, capsys):
         f"stationary planning over 100,000 features in {elapsed:.3f}s < 0.25s (CLI carries the size)",
         sane and elapsed < 0.25 and cli_ok,
     )
+
+
+def test_patience_analysis_speed():
+    """Every pair threshold and the patience partition at n = 120, k = 12,
+    under a geometric and a tabulated dynamic, in under 0.5 s together.
+
+    The bound may be tightened, never loosened.
+    """
+    rng = np.random.default_rng(1201)
+    n = 120
+    a = rng.uniform(0.05, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    h0 = rng.normal(0.0, 1.0, n)
+    inst = ProblemInstance(a=a, c=0.2, h0=h0, c_bar=0.1, k=12, delta=0.9)
+    dynamics = (Exponential(0.5), Tabulated((1.0, 0.6, 0.6, 0.25, 0.1), tail_w=0.7))
+    # Best of three guards against scheduler stalls on shared runners.
+    elapsed = np.inf
+    for _ in range(3):
+        gc.collect()
+        start = time.perf_counter()
+        results = [
+            (all_switch_points(inst, dyn), enumerate_optimal_subsets(inst, dyn))
+            for dyn in dynamics
+        ]
+        elapsed = min(elapsed, time.perf_counter() - start)
+    for table, intervals in results:
+        assert table.i.size == n * (n - 1) // 2
+        assert intervals[0].lo == 0.0 and intervals[-1].hi == 1.0
+        assert len(intervals[-1].subset) == inst.k
+    assert elapsed < 0.5, f"patience analysis took {elapsed:.3f}s, over 0.5s"
 
 
 def test_criterion_10_value_loss_duality(record):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -353,10 +354,10 @@ class TestSearchMatchesEnumeration:
         expected_seq, expected_value = enumerated_prefix_search(
             instance, dynamic, prefix_length
         )
-        # An infinite tol isolates the search from the stationary check,
-        # whose rounding slack is not under test here.
+        # The largest finite tol isolates the search from the stationary
+        # check, whose rounding slack is not under test here.
         seq, value = exhaustive_prefix_search(
-            instance, dynamic, prefix_length, tol=math.inf
+            instance, dynamic, prefix_length, tol=sys.float_info.max
         )
         assert (seq.prefix, seq.tail) == (expected_seq.prefix, expected_seq.tail)
         assert value.hex() == expected_value.hex()
@@ -395,7 +396,7 @@ class TestSearchMatchesEnumeration:
         )
         dyn = Exponential(1.0)
         expected = enumerated_prefix_search(inst, dyn, 3)
-        seq, value = exhaustive_prefix_search(inst, dyn, 3, tol=math.inf)
+        seq, value = exhaustive_prefix_search(inst, dyn, 3, tol=sys.float_info.max)
         assert expected[0].prefix == ((0, 1), (0, 1), (1, 2))
         assert (seq.prefix, seq.tail) == (expected[0].prefix, expected[0].tail)
         assert value.hex() == expected[1].hex()

@@ -251,6 +251,21 @@ class TestCliCommands:
         assert doc["passed"] is True
         assert abs(doc["gap"]) <= 1e-9
 
+    # NaN and inf used to print passed: true whatever the search found.
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e400"])
+    def test_verify_non_finite_tol_exits_2(self, capsys, two_scenario, tol):
+        code, out, err = run_cli(
+            capsys, "verify", two_scenario, "--prefix-len", "2", "--tol", tol
+        )
+        assert (code, out, err) == (2, "", "error: tol must be finite\n")
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "-inf"])
+    def test_verify_nonpositive_tol_exits_2(self, capsys, two_scenario, tol):
+        code, out, err = run_cli(
+            capsys, "verify", two_scenario, "--prefix-len", "2", f"--tol={tol}"
+        )
+        assert (code, out, err) == (2, "", "error: tol must be positive\n")
+
     def test_misspec_margins_and_trials(self, capsys, three_scenario):
         code, out, _ = run_cli(
             capsys,

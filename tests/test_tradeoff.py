@@ -1,7 +1,11 @@
 """Patience thresholds, sweeps, and efficiency-ordering checks."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsel import (
     Efficiency,
@@ -10,8 +14,12 @@ from teachsel import (
     PairGap,
     ProblemInstance,
     Tabulated,
+    all_switch_points,
     compare_efficiency_selection,
+    discounted_phi_sum,
     enumerate_optimal_subsets,
+    inverse_weight_cdf,
+    load_scenario,
     optimal_stationary_sequence,
     pair_gap,
     sort_marginals_dynamic,
@@ -20,10 +28,17 @@ from teachsel import (
     sweep_w_delta_loss_ratio,
     switching_point,
     switching_point_closed_form,
+    tradeoff,
 )
-from teachsel.tradeoff import learning_weight_cdf
+from teachsel.cli import main
+from teachsel.planner import select_top_k
+from teachsel.tradeoff import (
+    BISECT_MAX_ITER,
+    BISECT_TOL,
+    learning_weight_cdf,
+)
 
-from conftest import random_instance
+from conftest import random_instance, write_scenario
 
 TWO_FEATURE_THRESHOLD_W0 = 0.6051703877790834  # (2.1275 - 0.84) / 2.1275
 TWO_FEATURE_THRESHOLD_W05 = 0.6714471968709257  # 1.2875 / 1.9175
@@ -68,14 +83,14 @@ class TestSwitchingPoint:
             PairGap(i=0, j=1, delta_info=0.0, delta_div=0.5)
 
     def test_all_pairs_skips_equal_informativeness(self):
-        from teachsel import all_switch_points
-
         inst = ProblemInstance(
             a=[0.5, -0.5, 0.2], c=0.0, h0=[0.1, 0.3, 0.2], c_bar=0.0, k=2, delta=0.5
         )
-        points = all_switch_points(inst, Exponential(0.4))
-        pairs = {(p.pair.i, p.pair.j) for p in points}
-        assert pairs == {(0, 2), (1, 2)}  # the |a|=0.5 pair has no ordering
+        table = all_switch_points(inst, Exponential(0.4))
+        pairs = list(zip(table.i.tolist(), table.j.tolist()))
+        assert pairs == [(0, 2), (1, 2)]  # the |a|=0.5 pair has no ordering
+        for column in (table.delta_info, table.delta_div, table.threshold):
+            assert column.shape == (2,)
 
     def test_threshold_really_flips_the_preference(self, two_feature_instance):
         gap = pair_gap(two_feature_instance, 0, 1)
@@ -281,3 +296,295 @@ class TestCompareEfficiencySelection:
         report = compare_efficiency_selection(two_feature_instance, d1, d2)
         assert report.classification is Efficiency.INCOMPARABLE
         assert report.ordering_holds is None
+
+
+# ---------------------------------------------------------------------------
+# The scalar loops that the columnar thresholds and blocked probes replaced,
+# kept as oracles: every threshold, boundary and subset must match bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def scalar_inverse(dynamic, target):
+    """One bisection of the learning-weight cdf per target."""
+    lo, hi = 0.0, 1.0
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo < BISECT_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if learning_weight_cdf(dynamic, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_switch_points(instance, dynamic):
+    """(i, j, delta_info, delta_div, threshold or None), one pair at a time."""
+    rows = []
+    for i in range(instance.n):
+        for j in range(i + 1, instance.n):
+            if instance.informativeness[i] == instance.informativeness[j]:
+                continue
+            gap = pair_gap(instance, i, j)
+            threshold = None
+            if gap.delta_info < gap.delta_div:
+                if not dynamic.converges():
+                    raise InvalidInputError("dynamic never converges")
+                threshold = scalar_inverse(dynamic, 1.0 - gap.delta_info / gap.delta_div)
+            rows.append((gap.i, gap.j, gap.delta_info, gap.delta_div, threshold))
+    return rows
+
+
+def scalar_subset_at(instance, dynamic, d):
+    """A top-k of the one-row value matrix at patience `d`."""
+    deltas = np.array([d])
+    weights = np.asarray(discounted_phi_sum(dynamic, deltas))
+    info, div = instance.informativeness, instance.divergence0
+    values = info[None, :] / (1.0 - deltas)[:, None] - weights[:, None] * div[None, :]
+    return select_top_k(values[0], instance.k)
+
+
+def scalar_dedupe(points, tol=1e-12):
+    points = sorted(p for p in points if 0.0 < p < 1.0)
+    merged = []
+    for p in points:
+        if not merged or p - merged[-1] > tol:
+            merged.append(p)
+    return merged
+
+
+def scalar_assemble(instance, dynamic, boundaries, probe_offset=1e-9):
+    """(lo, hi, subset), probing right of each boundary one level at a time."""
+    edges = [0.0] + sorted(boundaries) + [1.0]
+    intervals = []
+    for lo, hi in zip(edges, edges[1:]):
+        if hi - lo <= 0.0:
+            continue
+        probe = lo + min(probe_offset, 0.5 * (hi - lo))
+        subset = scalar_subset_at(instance, dynamic, probe)
+        if intervals and intervals[-1][2] == subset:
+            intervals[-1] = (intervals[-1][0], hi, subset)
+        else:
+            intervals.append((lo, hi, subset))
+    return intervals
+
+
+def scalar_enumerate(instance, dynamic, resolution=1e-6):
+    """Closed-form pair boundaries under geometric learning, else a grid
+    scan with every change bracket bisected one probe at a time."""
+    info, div = instance.informativeness, instance.divergence0
+    if isinstance(dynamic, Exponential):
+        candidates = [
+            scalar_inverse(dynamic, 1.0 - float(info[i]) / float(div[i]))
+            for i in range(instance.n)
+            if div[i] > info[i]
+        ]
+        for i in range(instance.n):
+            for j in range(i + 1, instance.n):
+                if info[i] == info[j]:
+                    continue
+                gap = pair_gap(instance, i, j)
+                if gap.delta_info < gap.delta_div:
+                    candidates.append(
+                        (gap.delta_info - gap.delta_div)
+                        / (dynamic.w**2 * gap.delta_info - gap.delta_div)
+                    )
+        return scalar_assemble(instance, dynamic, scalar_dedupe(candidates))
+
+    xs = list(np.linspace(resolution, 1.0 - resolution, 1025))
+    labels = {x: scalar_subset_at(instance, dynamic, x) for x in xs}
+
+    def refine_changes():
+        found = []
+        pts = sorted(labels)
+        for lo, hi in zip(pts, pts[1:]):
+            if labels[lo] == labels[hi]:
+                continue
+            a, b = lo, hi
+            while b - a > resolution:
+                mid = 0.5 * (a + b)
+                labels[mid] = scalar_subset_at(instance, dynamic, mid)
+                if labels[mid] == labels[a]:
+                    a = mid
+                else:
+                    b = mid
+            found.append(0.5 * (a + b))
+        return found
+
+    boundaries = []
+    for _ in range(3):
+        boundaries = refine_changes()
+        pts = sorted(labels)
+        for lo, hi in zip(pts, pts[1:]):
+            mid = 0.5 * (lo + hi)
+            if hi - lo > resolution and mid not in labels:
+                labels[mid] = scalar_subset_at(instance, dynamic, mid)
+    return scalar_assemble(
+        instance, dynamic, scalar_dedupe(boundaries, tol=resolution), 2.0 * resolution
+    )
+
+
+def hexed(intervals):
+    return [(float(lo).hex(), float(hi).hex(), subset) for lo, hi, subset in intervals]
+
+
+coefficients = st.floats(0.1, 1.5).flatmap(lambda x: st.sampled_from([x, -x]))
+exponentials = st.builds(
+    Exponential, st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 1e-9]), st.floats(0.0, 0.999))
+)
+
+
+@st.composite
+def tabulated(draw):
+    """Nonincreasing tables with plateaus, a zero tail, or a tail_w near 1."""
+    steps = draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=4))
+    values = [1.0]
+    for step in steps:
+        values.append(values[-1] * step if draw(st.booleans()) else values[-1])
+    if draw(st.booleans()):
+        values.append(0.0)
+    tail_w = draw(st.one_of(st.sampled_from([0.0, 1.0 - 1e-9]), st.floats(0.0, 0.999)))
+    return Tabulated(tuple(values), tail_w=tail_w)
+
+
+@st.composite
+def instances(draw, max_n=6):
+    """Copies of feature 0, mirrored copies (equally informative) and h0 == a."""
+    n = draw(st.integers(1, max_n))
+    a = draw(st.lists(coefficients, min_size=n, max_size=n))
+    h0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    for i in range(1, n):
+        copy = draw(st.integers(0, 3))
+        if copy == 1:
+            a[i], h0[i] = a[0], h0[0]
+        elif copy == 2:
+            a[i] = -a[0]
+    for i in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            h0[i] = a[i]
+    k = draw(st.integers(0, n))
+    return ProblemInstance(a=a, c=0.0, h0=h0, c_bar=0.0, k=k, delta=0.5)
+
+
+dynamics = st.one_of(exponentials, tabulated())
+targets = st.lists(
+    st.one_of(
+        st.sampled_from([1e-15, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    min_size=0,
+    max_size=12,
+)
+
+
+class TestColumnsMatchScalarLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(dynamic=dynamics, targets=targets)
+    def test_inverse_weight_cdf_bits(self, dynamic, targets):
+        got = inverse_weight_cdf(dynamic, np.array(targets, dtype=float))
+        assert [t.hex() for t in got.tolist()] == [
+            scalar_inverse(dynamic, t).hex() for t in targets
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=instances(), dynamic=dynamics)
+    def test_switch_table_bits_and_pair_order(self, instance, dynamic):
+        table = all_switch_points(instance, dynamic)
+        rows = zip(
+            table.i.tolist(),
+            table.j.tolist(),
+            table.delta_info.tolist(),
+            table.delta_div.tolist(),
+            table.threshold.tolist(),
+            table.kind,
+        )
+        got = [
+            (i, j, di.hex(), dd.hex(), None if t != t else t.hex(), kind)
+            for i, j, di, dd, t, kind in rows
+        ]
+        assert got == [
+            (i, j, di.hex(), dd.hex(), None if t is None else t.hex(),
+             "always_i" if t is None else "threshold")
+            for i, j, di, dd, t in scalar_switch_points(instance, dynamic)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=instances(), dynamic=exponentials)
+    def test_geometric_intervals(self, instance, dynamic):
+        intervals = enumerate_optimal_subsets(instance, dynamic)
+        expected = scalar_enumerate(instance, dynamic)
+        assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
+        assert [iv.informativeness for iv in intervals] == [
+            subset_informativeness(instance, s) for *_, s in expected
+        ]
+
+    # Each scalar grid scan probes about 8,000 levels one by one.
+    @settings(max_examples=8, deadline=None)
+    @given(instance=instances(max_n=4), dynamic=tabulated())
+    def test_grid_intervals(self, instance, dynamic):
+        intervals = enumerate_optimal_subsets(instance, dynamic)
+        expected = scalar_enumerate(instance, dynamic)
+        assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
+
+    def test_grid_intervals_on_a_crowded_instance(self):
+        # Many changes close together, so brackets bisect in lockstep for
+        # different numbers of steps.
+        rng = np.random.default_rng(17)
+        instance = random_instance(rng, n=8, k=3)
+        dynamic = Tabulated((1.0, 0.6, 0.6, 0.2), tail_w=0.8)
+        intervals = enumerate_optimal_subsets(instance, dynamic)
+        expected = scalar_enumerate(instance, dynamic)
+        assert len(expected) > 3
+        assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_block_size_changes_nothing(self, monkeypatch, rows):
+        rng = np.random.default_rng(29)
+        instance = random_instance(rng, n=7, k=3)
+        cases = (Exponential(0.6), Tabulated((1.0, 0.5, 0.5, 0.1), tail_w=0.6))
+        expected = [enumerate_optimal_subsets(instance, dyn) for dyn in cases]
+        monkeypatch.setattr(tradeoff, "PROBE_BLOCK", rows * instance.n)
+        for dyn, want in zip(cases, expected):
+            got = enumerate_optimal_subsets(instance, dyn)
+            assert [(iv.lo, iv.hi, iv.subset) for iv in got] == [
+                (iv.lo, iv.hi, iv.subset) for iv in want
+            ]
+
+
+class TestSwitchPointEdges:
+    def test_no_pairs_print_an_empty_list(self, tmp_path, capsys):
+        single = write_scenario(tmp_path / "one.json", features=[{"a": 0.5, "h0": 0.1}])
+        mirrored = write_scenario(
+            tmp_path / "mirror.json",
+            features=[{"a": 0.5, "h0": 0.1}, {"a": -0.5, "h0": 0.3}, {"a": 0.5, "h0": 0.9}],
+        )
+        for path in (single, mirrored):
+            assert all_switch_points(load_scenario(path).instance, Exponential(0.3)).i.size == 0
+            assert main(["switch-points", str(path)]) == 0
+            assert capsys.readouterr().out == '{\n  "points": []\n}\n'
+            assert main(["switch-points", str(path), "--format", "csv"]) == 0
+            assert capsys.readouterr().out == "i,j,delta_info,delta_div,kind,threshold\n"
+
+    def test_a_learner_that_never_converges_fails_only_where_a_threshold_is_needed(
+        self, tmp_path, capsys
+    ):
+        never = {"type": "exponential", "params": {"w": 1.0}}
+        aligned = write_scenario(
+            tmp_path / "aligned.json",
+            features=[{"a": 1.0, "h0": 1.0}, {"a": 0.4, "h0": 0.75}],
+            dynamic=never,
+        )
+        assert main(["switch-points", str(aligned)]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [(p["kind"], p["threshold"]) for p in points] == [("always_i", None)]
+        crossing = write_scenario(
+            tmp_path / "crossing.json",
+            features=[{"a": 1.0, "h0": -0.5}, {"a": 0.4, "h0": 0.75}],
+            dynamic=never,
+        )
+        assert main(["switch-points", str(crossing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dynamic never converges; the threshold equation has no solution\n"
+        )
