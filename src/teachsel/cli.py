@@ -208,13 +208,13 @@ def cmd_switch_points(scenario: Scenario, args) -> int:
 
 def cmd_sweep_delta(scenario: Scenario, args) -> int:
     grid = parse_grid(args.grid)
-    rows = tradeoff.sweep_delta(scenario.instance, scenario.dynamic, grid).rows
+    result = tradeoff.sweep_delta(scenario.instance, scenario.dynamic, grid)
     table = {
-        "delta": np.array([r.delta for r in rows]),
-        "subset": [format_subset(r.subset) for r in rows],
-        "total_value": np.array([r.total_value for r in rows]),
-        "informativeness": np.array([r.informativeness for r in rows]),
-        "loss": np.array([r.loss for r in rows]),
+        "delta": result.delta,
+        "subset": list(map(format_subset, result.subsets)),
+        "total_value": result.total_value,
+        "informativeness": result.informativeness,
+        "loss": result.loss,
     }
     _emit(args, table, {"rows": _records(table)})
     return 0

@@ -6,11 +6,12 @@ feature the human already understands, above it the feature worth teaching.
 This module locates those thresholds, sweeps patience and learning-rate
 grids, and enumerates every subset that is optimal somewhere in (0, 1).
 
-Thresholds are columns: `all_switch_points` returns one `SwitchTable` row
-per ordered pair, and every threshold, under any dynamic, comes from one
-vectorized bisection, `inverse_weight_cdf`.  The optimal subset at many
-patience levels is labeled in blocks of rows (`_top_k_masks`), so probing
-costs a few array operations per block instead of a top-k per level.
+Every threshold, under any dynamic, comes from one inverse of the
+learning-weight CDF, `inverse_weight_cdf`: in closed form under geometric
+learning, by vectorized bisection otherwise.  `all_switch_points` returns
+one `SwitchTable` row per ordered pair, and `enumerate_optimal_subsets`
+probes between consecutive pair and positivity thresholds, labeling the
+levels in blocks of rows (`_top_k_masks`) instead of a top-k per level.
 """
 
 from __future__ import annotations
@@ -134,12 +135,16 @@ def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
     """The delta with ``learning_weight_cdf(delta) == target`` for each of a
     1-d array of `targets` in (0, 1).
 
-    Bisection from the bracket [0, 1] (F(0) = 0 and F(1) = 1 for convergent
-    dynamics), run on every element at once.  Each element takes the steps
-    a scalar loop would, and stops once its bracket is narrower than
+    Under geometric learning ``F(delta) = 1 - (1 - delta)/(1 - delta*w^2)``
+    inverts exactly to ``t / (1 - w^2*(1 - t))``.  Any other dynamic is
+    bisected from the bracket [0, 1] (F(0) = 0 and F(1) = 1 for convergent
+    dynamics), on every element at once.  Each element takes the steps a
+    scalar loop would, and stops once its bracket is narrower than
     `BISECT_TOL`, or after `BISECT_MAX_ITER` steps.
     """
     targets = np.asarray(targets, dtype=float)
+    if isinstance(dynamic, Exponential):
+        return targets / (1.0 - dynamic.w**2 * (1.0 - targets))
     lo = np.zeros(targets.shape)
     hi = np.ones(targets.shape)
     for _ in range(BISECT_MAX_ITER):
@@ -168,33 +173,17 @@ def _thresholds(
     return out
 
 
-def _closed_form_thresholds(
-    w: float, delta_info: np.ndarray, delta_div: np.ndarray
-) -> np.ndarray:
-    """Geometric thresholds ``(dI - dD) / (w^2*dI - dD)``; NaN where ``dI >= dD``."""
-    if not 0.0 <= w < 1.0:
-        raise InvalidInputError(f"retention w={w} outside [0, 1)")
-    need = ~(delta_info >= delta_div)
-    out = np.full(delta_info.shape, np.nan)
-    out[need] = (delta_info[need] - delta_div[need]) / (
-        w**2 * delta_info[need] - delta_div[need]
-    )
-    return out
-
-
-def _one_pair(thresholds, pair: PairGap, *args) -> SwitchPoint:
-    t = thresholds(*args, np.array([pair.delta_info]), np.array([pair.delta_div]))[0]
+def switching_point(pair: PairGap, dynamic: LearningDynamic) -> SwitchPoint:
+    """Locate the pair's patience threshold under an arbitrary dynamic."""
+    t = _thresholds(dynamic, np.array([pair.delta_info]), np.array([pair.delta_div]))[0]
     return SwitchPoint(pair=pair, threshold=None if np.isnan(t) else float(t))
 
 
-def switching_point(pair: PairGap, dynamic: LearningDynamic) -> SwitchPoint:
-    """Locate the pair's patience threshold under an arbitrary dynamic."""
-    return _one_pair(_thresholds, pair, dynamic)
-
-
 def switching_point_closed_form(pair: PairGap, w: float) -> SwitchPoint:
-    """Threshold under geometric learning: ``(dI - dD) / (w^2*dI - dD)``."""
-    return _one_pair(_closed_form_thresholds, pair, w)
+    """Threshold under geometric learning: ``(dD - dI) / (dD - w^2*dI)``."""
+    if not 0.0 <= w < 1.0:
+        raise InvalidInputError(f"retention w={w} outside [0, 1)")
+    return switching_point(pair, Exponential(w))
 
 
 def _pair_columns(instance: ProblemInstance):
@@ -217,9 +206,8 @@ def _pair_columns(instance: ProblemInstance):
 def all_switch_points(instance: ProblemInstance, dynamic: LearningDynamic) -> SwitchTable:
     """The threshold table of every informativeness-distinct feature pair.
 
-    All thresholds come from one `inverse_weight_cdf` call, whatever the
-    dynamic.  A dynamic that never converges is an error only when some
-    pair needs a threshold.
+    All thresholds come from one `inverse_weight_cdf` call.  A dynamic that
+    never converges is an error only when some pair needs a threshold.
     """
     i, j, delta_info, delta_div = _pair_columns(instance)
     return SwitchTable(
@@ -236,18 +224,19 @@ def all_switch_points(instance: ProblemInstance, dynamic: LearningDynamic) -> Sw
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    delta: float
-    subset: FeatureSubset
-    total_value: float
-    informativeness: float
-    loss: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """The optimal subset at each patience level of a grid, one row per level.
+
+    `total_value` is the subset's stationary value and `loss` the discounted
+    loss ``mse_empty / (1 - delta) - total_value``.
+    """
+
+    delta: np.ndarray
+    subsets: list[FeatureSubset]
+    total_value: np.ndarray
+    informativeness: np.ndarray
+    loss: np.ndarray
 
 
 def sweep_delta(
@@ -263,21 +252,16 @@ def sweep_delta(
         raise InvalidInputError("grid must be strictly increasing")
     values = stationary_values(instance, dynamic, deltas)
     subsets = select_top_k(values, instance.k)
-    mse0 = instance.mse_empty()
     info = instance.informativeness
-    rows = []
-    for d, vals, subset in zip(deltas, values, subsets):
-        total = float(np.sum(vals[list(subset)])) if subset else 0.0
-        rows.append(
-            SweepRow(
-                delta=float(d),
-                subset=subset,
-                total_value=total,
-                informativeness=float(np.sum(info[list(subset)])) if subset else 0.0,
-                loss=mse0 / (1.0 - float(d)) - total,
-            )
-        )
-    return SweepResult(rows=tuple(rows))
+    # Each row sums its gathered subset: a masked row sum can round differently.
+    total = np.array([np.sum(row[list(s)]) for row, s in zip(values, subsets)])
+    return SweepResult(
+        delta=deltas,
+        subsets=subsets,
+        total_value=total,
+        informativeness=np.array([np.sum(info[list(s)]) for s in subsets]),
+        loss=instance.mse_empty() / (1.0 - deltas) - total,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,42 +294,24 @@ def _top_k_masks(
     return masks
 
 
-def _changes(masks: np.ndarray) -> np.ndarray:
-    """Whether each row's subset differs from the row before it."""
-    return (masks[1:] != masks[:-1]).any(axis=1)
-
-
-def _positivity_thresholds(
-    instance: ProblemInstance, dynamic: LearningDynamic
-) -> np.ndarray:
-    """Patience levels where a single feature's stationary value crosses zero.
-
-    Setting the value of feature i to zero gives the same threshold
-    equation as a pair comparison against a worthless dummy feature, so the
-    pair thresholds apply with gaps ``info_i`` and ``div_i``.  Features
-    whose value is positive for every delta have no root.
-    """
-    roots = _thresholds(dynamic, instance.informativeness, instance.divergence0)
-    return roots[~np.isnan(roots)]
-
-
 def _assemble_intervals(
-    instance: ProblemInstance,
-    dynamic: LearningDynamic,
-    boundaries: np.ndarray,
-    probe_offset: float = 1e-9,
+    instance: ProblemInstance, dynamic: LearningDynamic, boundaries: np.ndarray
 ) -> list[SubsetInterval]:
-    """Probe just right of each sorted boundary and merge equal-subset intervals.
+    """Probe each interval between sorted boundaries at its midpoint, and
+    merge neighbours with equal subsets.
 
-    `probe_offset` must exceed the uncertainty of the boundary locations or
-    probes can land on the wrong side.
+    The midpoint is the level farthest from both boundaries, whose
+    locations are inexact.  A level just right of 0 would also mislabel the
+    first interval wherever a value that vanishes as delta -> 0 rounds to
+    zero there.
     """
     edges = np.concatenate(([0.0], boundaries, [1.0]))
     lo, hi = edges[:-1], edges[1:]
     wide = hi - lo > 0.0
     lo, hi = lo[wide], hi[wide]
-    masks = _top_k_masks(instance, dynamic, lo + np.minimum(probe_offset, 0.5 * (hi - lo)))
-    starts = np.flatnonzero(np.concatenate(([True], _changes(masks))))
+    masks = _top_k_masks(instance, dynamic, 0.5 * (lo + hi))
+    changes = (masks[1:] != masks[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], changes)))
     ends = np.append(starts[1:], lo.size) - 1
     intervals = []
     for start, end in zip(starts.tolist(), ends.tolist()):
@@ -371,86 +337,33 @@ def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def enumerate_optimal_subsets(
-    instance: ProblemInstance,
-    w_or_dynamic: float | LearningDynamic,
-    *,
-    grid_resolution: float = 1e-6,
+    instance: ProblemInstance, w_or_dynamic: float | LearningDynamic
 ) -> list[SubsetInterval]:
     """Partition (0,1) into maximal patience intervals with a constant optimum.
 
-    With geometric learning every candidate boundary is available exactly:
-    the pair columns of `all_switch_points` give every pair threshold in
-    closed form, and positivity thresholds come from `inverse_weight_cdf`.
-    One blocked probe per boundary then labels every interval, so the
-    partition is exact.  Other dynamics fall back to a coarse scan refined
-    around detected changes down to `grid_resolution`, with every bracket
-    bisected in lockstep.
+    The optimum can change only where two features' stationary values cross
+    (the pair thresholds of `all_switch_points`) or where one feature's
+    value crosses zero.  The latter is the threshold equation of a pair
+    against a worthless dummy feature, with gaps ``info_i`` and ``div_i``.
+    Every such boundary comes from `inverse_weight_cdf`, and one blocked
+    probe inside each interval between them labels it, so the partition is
+    exact up to the inverse's precision (exact under geometric learning,
+    `BISECT_TOL` otherwise).  A number stands for ``Exponential(w)``.
     """
     if isinstance(w_or_dynamic, (int, float)):
         dynamic: LearningDynamic = Exponential(float(w_or_dynamic))
     else:
         dynamic = w_or_dynamic
-    if isinstance(dynamic, Exponential):
-        if not dynamic.converges():
-            raise InvalidInputError("dynamic never converges; values have no limit")
-        _, _, delta_info, delta_div = _pair_columns(instance)
-        candidates = np.concatenate(
-            (
-                _positivity_thresholds(instance, dynamic),
-                _closed_form_thresholds(dynamic.w, delta_info, delta_div),
-            )
+    if not dynamic.converges():
+        raise InvalidInputError("dynamic never converges; values have no limit")
+    _, _, delta_info, delta_div = _pair_columns(instance)
+    candidates = np.concatenate(
+        (
+            _thresholds(dynamic, instance.informativeness, instance.divergence0),
+            _thresholds(dynamic, delta_info, delta_div),
         )
-        return _assemble_intervals(instance, dynamic, _dedupe(candidates))
-    return _enumerate_by_grid(instance, dynamic, grid_resolution)
-
-
-def _enumerate_by_grid(
-    instance: ProblemInstance, dynamic: LearningDynamic, resolution: float
-) -> list[SubsetInterval]:
-    """Scan a grid, bisect each change bracket down to `resolution`, and
-    re-scan twice with the midpoints of the gaps to catch hidden changes,
-    bisecting again after each re-scan.
-
-    The brackets are disjoint, so bisecting them in lockstep (one blocked
-    probe per step, each bracket with its own stop) finds the boundaries a
-    bracket-by-bracket loop would.  The boundaries come from the last
-    bisection; a re-scan after it could change nothing, so none is made.
-    """
-    xs = np.linspace(resolution, 1.0 - resolution, 1025)
-    masks = _top_k_masks(instance, dynamic, xs)
-    for scan in range(3):
-        if scan:
-            gaps = np.flatnonzero(xs[1:] - xs[:-1] > resolution)
-            mids = 0.5 * (xs[gaps] + xs[gaps + 1])
-            xs, masks = _merge([xs, mids], [masks, _top_k_masks(instance, dynamic, mids)])
-        change = np.flatnonzero(_changes(masks))
-        a, b = xs[change], xs[change + 1]
-        left = masks[change]  # every point `a` moves to has this subset
-        new_xs, new_masks = [xs], [masks]
-        live = np.flatnonzero(b - a > resolution)
-        while live.size:
-            mids = 0.5 * (a[live] + b[live])
-            probed = _top_k_masks(instance, dynamic, mids)
-            same = (probed == left[live]).all(axis=1)
-            a[live[same]] = mids[same]
-            b[live[~same]] = mids[~same]
-            new_xs.append(mids)
-            new_masks.append(probed)
-            live = live[b[live] - a[live] > resolution]
-        xs, masks = _merge(new_xs, new_masks)
-    return _assemble_intervals(
-        instance,
-        dynamic,
-        _dedupe(0.5 * (a + b), tol=resolution),
-        probe_offset=2.0 * resolution,
     )
-
-
-def _merge(xs: list[np.ndarray], masks: list[np.ndarray]):
-    """Labeled points (all distinct) and their masks, sorted by point."""
-    points = np.concatenate(xs)
-    order = np.argsort(points, kind="stable")
-    return points[order], np.concatenate(masks)[order]
+    return _assemble_intervals(instance, dynamic, _dedupe(candidates))
 
 
 # ---------------------------------------------------------------------------

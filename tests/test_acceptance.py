@@ -148,7 +148,8 @@ def test_criterion_3_switching_point(record):
         delta_div = delta_info + float(rng.uniform(0.01, 2.0))
         w = float(rng.uniform(0.0, 0.95))
         pair = PairGap(i=0, j=1, delta_info=delta_info, delta_div=delta_div)
-        bisected = switching_point(pair, Exponential(w)).threshold
+        # Same weights as Exponential(w), but bisected.
+        bisected = switching_point(pair, Tabulated((1.0,), tail_w=w)).threshold
         exact = switching_point_closed_form(pair, w).threshold
         if abs(bisected - exact) > 1e-9:
             agree = False
@@ -221,12 +222,12 @@ def test_criterion_6_patience_monotonicity_and_subset_count(record):
     for _ in range(200):
         inst = random_instance(rng)
         dyn = Exponential(float(rng.uniform(0, 0.9)))
-        rows = sweep_delta(inst, dyn, grid).rows
-        infos = [r.informativeness for r in rows]
+        result = sweep_delta(inst, dyn, grid)
+        infos = result.informativeness.tolist()
         if any(b < a - 1e-12 for a, b in zip(infos, infos[1:])):
             ok = False
             break
-        nonempty = {r.subset for r in rows if r.subset}
+        nonempty = {s for s in result.subsets if s}
         if len(nonempty) > inst.n * (inst.n - 1) // 2 + inst.k:
             ok = False
             break

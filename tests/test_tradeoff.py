@@ -55,9 +55,10 @@ class TestSwitchingPoint:
         assert point.threshold == pytest.approx(TWO_FEATURE_THRESHOLD_W05, abs=1e-12)
 
     def test_bisection_agrees_with_closed_form(self, two_feature_instance):
+        # The table has the weights of Exponential(w) but is bisected.
         gap = pair_gap(two_feature_instance, 0, 1)
         for w in (0.0, 0.3, 0.5, 0.9):
-            got = switching_point(gap, Exponential(w)).threshold
+            got = switching_point(gap, Tabulated((1.0,), tail_w=w)).threshold
             want = switching_point_closed_form(gap, w).threshold
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -122,20 +123,18 @@ class TestSweepDelta:
     def test_single_switch_around_threshold(self, two_feature_instance):
         grid = np.linspace(0.4, 0.8, 81)
         result = sweep_delta(two_feature_instance, Exponential(0.0), grid)
-        subsets = [r.subset for r in result.rows]
+        subsets = result.subsets
         changes = [
             (a, b) for a, b in zip(subsets, subsets[1:]) if a != b
         ]
         assert changes == [((1,), (0,))]
-        infos = [r.informativeness for r in result.rows]
-        assert all(b >= a for a, b in zip(infos, infos[1:]))
+        assert np.all(np.diff(result.informativeness) >= 0.0)
 
     def test_single_point_grid_matches_planner(self, two_feature_instance):
         result = sweep_delta(two_feature_instance, Exponential(0.3), [0.5])
         plan = optimal_stationary_sequence(two_feature_instance, Exponential(0.3))
-        row = result.rows[0]
-        assert row.subset == plan.subset
-        assert row.total_value == pytest.approx(plan.total_value, abs=1e-12)
+        assert result.subsets == [plan.subset]
+        assert result.total_value[0] == pytest.approx(plan.total_value, abs=1e-12)
 
     def test_informativeness_nondecreasing_random(self):
         rng = np.random.default_rng(3)
@@ -143,7 +142,7 @@ class TestSweepDelta:
         for _ in range(30):
             inst = random_instance(rng)
             dyn = Exponential(float(rng.uniform(0, 0.95)))
-            infos = [r.informativeness for r in sweep_delta(inst, dyn, grid).rows]
+            infos = sweep_delta(inst, dyn, grid).informativeness.tolist()
             assert all(b >= a - 1e-12 for a, b in zip(infos, infos[1:]))
 
     def test_distinct_subsets_bounded(self):
@@ -154,7 +153,7 @@ class TestSweepDelta:
         for _ in range(30):
             inst = random_instance(rng)
             dyn = Exponential(float(rng.uniform(0, 0.9)))
-            subsets = {r.subset for r in sweep_delta(inst, dyn, grid).rows}
+            subsets = set(sweep_delta(inst, dyn, grid).subsets)
             nonempty = {s for s in subsets if s}
             assert len(nonempty) <= inst.n * (inst.n - 1) // 2 + inst.k
             assert len(subsets) <= inst.n * (inst.n - 1) // 2 + inst.k + 1
@@ -210,18 +209,51 @@ class TestEnumerateOptimalSubsets:
                 assert left.hi == right.lo
                 assert left.subset != right.subset
 
-    def test_grid_fallback_matches_exact_mode(self, two_feature_instance):
-        """A tabulated copy of geometric learning must find the same boundary."""
+    def test_tabulated_copy_matches_geometric(self, two_feature_instance):
+        """A tabulated copy of geometric learning, bisected, must find the
+        closed-form boundary."""
         w = 0.5
         tab = Tabulated(
             tuple(w ** (2 * m) for m in range(8)), tail_w=w
         )
         exact = enumerate_optimal_subsets(two_feature_instance, w)
-        gridded = enumerate_optimal_subsets(two_feature_instance, tab)
-        assert [iv.subset for iv in exact] == [iv.subset for iv in gridded]
-        for a, b in zip(exact, gridded):
-            assert b.lo == pytest.approx(a.lo, abs=1e-5)
-            assert b.hi == pytest.approx(a.hi, abs=1e-5)
+        bisected = enumerate_optimal_subsets(two_feature_instance, tab)
+        assert [iv.subset for iv in exact] == [iv.subset for iv in bisected]
+        for a, b in zip(exact, bisected):
+            assert b.lo == pytest.approx(a.lo, abs=1e-9)
+            assert b.hi == pytest.approx(a.hi, abs=1e-9)
+
+    def test_a_value_that_vanishes_at_zero_patience_still_labels_its_interval(self):
+        # h0 = 0 makes info == div, so the value info*delta*(1 - w^2) /
+        # ((1 - delta)(1 - delta*w^2)) is positive but rounds to zero at
+        # delta = 1e-9 when w is near 1; the interval is labeled elsewhere.
+        inst = ProblemInstance(a=[1.0], c=0.0, h0=[0.0], c_bar=0.0, k=1, delta=0.5)
+        dyn = Exponential(1.0 - 1e-9)
+        assert optimal_stationary_sequence(inst, dyn).subset == (0,)
+        intervals = enumerate_optimal_subsets(inst, dyn)
+        assert [(iv.lo, iv.hi, iv.subset) for iv in intervals] == [(0.0, 1.0, (0,))]
+
+    def test_boundaries_closer_than_1e_9(self):
+        """Feature 1 is optimal on an interval about 5e-10 wide, with the 0-2
+        threshold inside it."""
+        a = np.array([0.5, 1.0, 1.5])
+        x_hi = 1.0 / (1.0 - (0.5 + 5e-10))  # x = 1/(1 - delta) when w = 0
+        # Lines info*x - div: 1 overtakes 0 at x = 2, and 2 overtakes 1 at x_hi.
+        div = np.array([0.0, 1.5, 1.5 + 1.25 * x_hi])
+        inst = ProblemInstance(a=a, c=0.0, h0=a - np.sqrt(div), c_bar=0.0, k=1, delta=0.5)
+        table = all_switch_points(inst, Exponential(0.0))
+        threshold = {
+            (i, j): t for i, j, t in zip(table.i.tolist(), table.j.tolist(), table.threshold)
+        }
+        lo, mid, hi = threshold[1, 0], threshold[2, 0], threshold[2, 1]
+        assert lo < mid < hi
+        assert 4e-10 < hi - lo < 6e-10
+        intervals = enumerate_optimal_subsets(inst, Exponential(0.0))
+        assert [(iv.lo, iv.hi, iv.subset) for iv in intervals] == [
+            (0.0, lo, (0,)),
+            (lo, hi, (1,)),
+            (hi, 1.0, (2,)),
+        ]
 
 
 class TestLossRatioHeatmap:
@@ -301,11 +333,12 @@ class TestCompareEfficiencySelection:
 # ---------------------------------------------------------------------------
 # The scalar loops that the columnar thresholds and blocked probes replaced,
 # kept as oracles: every threshold, boundary and subset must match bit for bit.
+# The grid scan that exact enumeration replaced stays as an independent one.
 # ---------------------------------------------------------------------------
 
 
-def scalar_inverse(dynamic, target):
-    """One bisection of the learning-weight cdf per target."""
+def scalar_bisect(dynamic, target):
+    """One bisection of the learning-weight cdf."""
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_MAX_ITER):
         if hi - lo < BISECT_TOL:
@@ -316,6 +349,13 @@ def scalar_inverse(dynamic, target):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scalar_inverse(dynamic, target):
+    """The closed form under geometric learning, else one scalar bisection."""
+    if isinstance(dynamic, Exponential):
+        return target / (1.0 - dynamic.w**2 * (1.0 - target))
+    return scalar_bisect(dynamic, target)
 
 
 def scalar_switch_points(instance, dynamic):
@@ -353,15 +393,14 @@ def scalar_dedupe(points, tol=1e-12):
     return merged
 
 
-def scalar_assemble(instance, dynamic, boundaries, probe_offset=1e-9):
-    """(lo, hi, subset), probing right of each boundary one level at a time."""
+def scalar_assemble(instance, dynamic, boundaries, subset_at=scalar_subset_at):
+    """(lo, hi, subset), probing each interval's midpoint one level at a time."""
     edges = [0.0] + sorted(boundaries) + [1.0]
     intervals = []
     for lo, hi in zip(edges, edges[1:]):
         if hi - lo <= 0.0:
             continue
-        probe = lo + min(probe_offset, 0.5 * (hi - lo))
-        subset = scalar_subset_at(instance, dynamic, probe)
+        subset = subset_at(instance, dynamic, 0.5 * (lo + hi))
         if intervals and intervals[-1][2] == subset:
             intervals[-1] = (intervals[-1][0], hi, subset)
         else:
@@ -369,30 +408,39 @@ def scalar_assemble(instance, dynamic, boundaries, probe_offset=1e-9):
     return intervals
 
 
-def scalar_enumerate(instance, dynamic, resolution=1e-6):
-    """Closed-form pair boundaries under geometric learning, else a grid
-    scan with every change bracket bisected one probe at a time."""
+def scalar_enumerate(instance, dynamic):
+    """Every positivity and pair threshold, each interval probed on its own."""
     info, div = instance.informativeness, instance.divergence0
-    if isinstance(dynamic, Exponential):
-        candidates = [
-            scalar_inverse(dynamic, 1.0 - float(info[i]) / float(div[i]))
-            for i in range(instance.n)
-            if div[i] > info[i]
-        ]
-        for i in range(instance.n):
-            for j in range(i + 1, instance.n):
-                if info[i] == info[j]:
-                    continue
-                gap = pair_gap(instance, i, j)
-                if gap.delta_info < gap.delta_div:
-                    candidates.append(
-                        (gap.delta_info - gap.delta_div)
-                        / (dynamic.w**2 * gap.delta_info - gap.delta_div)
-                    )
-        return scalar_assemble(instance, dynamic, scalar_dedupe(candidates))
+    candidates = [
+        scalar_inverse(dynamic, 1.0 - float(info[i]) / float(div[i]))
+        for i in range(instance.n)
+        if div[i] > info[i]
+    ]
+    candidates += [t for *_, t in scalar_switch_points(instance, dynamic) if t is not None]
+    return scalar_assemble(instance, dynamic, scalar_dedupe(candidates))
 
+
+def termwise_subset_at(instance, dynamic, d):
+    """A top-k of ``v_i = (info_i - div_i + F(d) * div_i) / (1 - d)``.
+
+    ``F(d) = sum_{t>=1} d^t * (phi(t-1) - phi(t))`` is summed term by term,
+    so values that vanish as d -> 0 keep their sign, unlike
+    ``info/(1 - d) - W(d) * div``, which cancels there.
+    """
+    values, decay = dynamic.table, dynamic.step_decay
+    last = len(values) - 1
+    cdf = sum(d**t * (values[t - 1] - values[t]) for t in range(1, last + 1))
+    cdf += d ** (last + 1) * values[-1] * (1.0 - decay) / (1.0 - d * decay)
+    info, div = instance.informativeness, instance.divergence0
+    return select_top_k((info - div + cdf * div) / (1.0 - d), instance.k)
+
+
+def scalar_grid_enumerate(instance, dynamic, resolution=1e-6):
+    """A grid scan with every change bracket bisected one probe at a time,
+    down to `resolution`; it shares no threshold or value code with the
+    library."""
     xs = list(np.linspace(resolution, 1.0 - resolution, 1025))
-    labels = {x: scalar_subset_at(instance, dynamic, x) for x in xs}
+    labels = {x: termwise_subset_at(instance, dynamic, x) for x in xs}
 
     def refine_changes():
         found = []
@@ -403,7 +451,7 @@ def scalar_enumerate(instance, dynamic, resolution=1e-6):
             a, b = lo, hi
             while b - a > resolution:
                 mid = 0.5 * (a + b)
-                labels[mid] = scalar_subset_at(instance, dynamic, mid)
+                labels[mid] = termwise_subset_at(instance, dynamic, mid)
                 if labels[mid] == labels[a]:
                     a = mid
                 else:
@@ -418,14 +466,28 @@ def scalar_enumerate(instance, dynamic, resolution=1e-6):
         for lo, hi in zip(pts, pts[1:]):
             mid = 0.5 * (lo + hi)
             if hi - lo > resolution and mid not in labels:
-                labels[mid] = scalar_subset_at(instance, dynamic, mid)
+                labels[mid] = termwise_subset_at(instance, dynamic, mid)
     return scalar_assemble(
-        instance, dynamic, scalar_dedupe(boundaries, tol=resolution), 2.0 * resolution
+        instance, dynamic, scalar_dedupe(boundaries, tol=resolution), termwise_subset_at
     )
 
 
 def hexed(intervals):
     return [(float(lo).hex(), float(hi).hex(), subset) for lo, hi, subset in intervals]
+
+
+def assert_near_grid(instance, dynamic, intervals, resolution=1e-6):
+    """The grid oracle finds the same subsets, with edges within 2e-6.
+
+    The grid scans [resolution, 1 - resolution] only, so intervals that lie
+    wholly outside it are left out of the comparison.
+    """
+    grid = scalar_grid_enumerate(instance, dynamic, resolution)
+    intervals = [iv for iv in intervals if iv.hi > resolution and iv.lo < 1.0 - resolution]
+    assert [iv.subset for iv in intervals] == [subset for *_, subset in grid]
+    np.testing.assert_allclose(
+        [(iv.lo, iv.hi) for iv in intervals], [(lo, hi) for lo, hi, _ in grid], rtol=0, atol=2e-6
+    )
 
 
 coefficients = st.floats(0.1, 1.5).flatmap(lambda x: st.sampled_from([x, -x]))
@@ -518,17 +580,38 @@ class TestColumnsMatchScalarLoops:
             subset_informativeness(instance, s) for *_, s in expected
         ]
 
-    # Each scalar grid scan probes about 8,000 levels one by one.
-    @settings(max_examples=8, deadline=None)
-    @given(instance=instances(max_n=4), dynamic=tabulated())
-    def test_grid_intervals(self, instance, dynamic):
+    @settings(max_examples=150, deadline=None)
+    @given(instance=instances(), dynamic=tabulated())
+    def test_tabulated_intervals(self, instance, dynamic):
         intervals = enumerate_optimal_subsets(instance, dynamic)
         expected = scalar_enumerate(instance, dynamic)
         assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.999)), targets=targets
+    )
+    def test_bisection_meets_the_closed_form(self, w, targets):
+        """Bisected on Exponential(w), and on a table with the same weights,
+        each inverse lands within 1e-9 of the closed form."""
+        targets = np.array(targets, dtype=float)
+        exact = inverse_weight_cdf(Exponential(w), targets)
+        np.testing.assert_allclose(
+            [scalar_bisect(Exponential(w), t) for t in targets.tolist()], exact, rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            inverse_weight_cdf(Tabulated((1.0,), tail_w=w), targets), exact, rtol=0, atol=1e-9
+        )
+
+    # Each scalar grid scan probes about 8,000 levels one by one.
+    @settings(max_examples=8, deadline=None)
+    @given(instance=instances(max_n=4), dynamic=tabulated())
+    def test_grid_intervals(self, instance, dynamic):
+        assert_near_grid(instance, dynamic, enumerate_optimal_subsets(instance, dynamic))
+
     def test_grid_intervals_on_a_crowded_instance(self):
-        # Many changes close together, so brackets bisect in lockstep for
-        # different numbers of steps.
+        # Many changes close together, so the grid oracle bisects its
+        # brackets for different numbers of steps.
         rng = np.random.default_rng(17)
         instance = random_instance(rng, n=8, k=3)
         dynamic = Tabulated((1.0, 0.6, 0.6, 0.2), tail_w=0.8)
@@ -536,6 +619,7 @@ class TestColumnsMatchScalarLoops:
         expected = scalar_enumerate(instance, dynamic)
         assert len(expected) > 3
         assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
+        assert_near_grid(instance, dynamic, intervals)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_block_size_changes_nothing(self, monkeypatch, rows):
@@ -588,3 +672,14 @@ class TestSwitchPointEdges:
         assert captured.err == (
             "error: dynamic never converges; the threshold equation has no solution\n"
         )
+
+
+class TestMorePatienceMoreInformation:
+    """The abstract's claim, on the exact enumeration: a more patient planner
+    never selects less informative features."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=instances(max_n=8), dynamic=dynamics)
+    def test_interval_informativeness_nondecreasing(self, instance, dynamic):
+        infos = [iv.informativeness for iv in enumerate_optimal_subsets(instance, dynamic)]
+        assert all(b >= a for a, b in zip(infos, infos[1:])), infos
