@@ -398,6 +398,28 @@ def test_patience_analysis_speed():
     assert elapsed < 0.5, f"patience analysis took {elapsed:.3f}s, over 0.5s"
 
 
+def test_misspec_validation_speed():
+    """10,000 seeded truth-learning trials at n = 8, k = 3 in under 0.1 s.
+
+    The bound may be tightened, never loosened.
+    """
+    rng = np.random.default_rng(1202)
+    n = 8
+    a = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    h0 = a + rng.uniform(0.1, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    inst = ProblemInstance(a=a, c=0.0, h0=h0, c_bar=0.0, k=3, delta=0.9)
+    spec = ErrorSpec(ErrorKind.TRUTH_LEARNING, 0.01)
+    # Best of three guards against scheduler stalls on shared runners.
+    elapsed = np.inf
+    for _ in range(3):
+        gc.collect()
+        start = time.perf_counter()
+        report = validate_bound(inst, spec, trials=10_000, seed=1, dynamic=Exponential(0.5))
+        elapsed = min(elapsed, time.perf_counter() - start)
+    assert report.trials == 10_000 and report.violations == 0
+    assert elapsed < 0.1, f"misspec validation took {elapsed:.3f}s, over 0.1s"
+
+
 def test_criterion_10_value_loss_duality(record):
     rng = np.random.default_rng(1001)
     worst = 0.0

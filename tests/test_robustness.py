@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teachsel import robustness
 from teachsel import (
@@ -16,7 +18,7 @@ from teachsel import (
     validate_bound,
 )
 from teachsel.planner import select_top_k
-from teachsel.robustness import _perturbed_values, _true_values
+from teachsel.robustness import _perturbed_values, _true_values, _trial_uniforms
 
 from conftest import random_instance
 
@@ -318,6 +320,25 @@ class TestValidateBoundMatchesScalarLoop:
             assert short.gaps.tobytes() == long.gaps[:7].tobytes()
             assert short.bounds.tobytes() == long.bounds[:7].tobytes()
 
+    # Seeds past 2**64 hash more entropy words; at n = 9 and 17 a chosen
+    # subset's key spans two and three bytes; k = 0 and k = n give every
+    # trial the same subset.
+    @pytest.mark.parametrize("n, k", [(9, 4), (17, 6), (9, 0), (17, 17)])
+    def test_wide_instances_and_large_seeds_bitwise(self, n, k):
+        rng = np.random.default_rng(97 + n + k)
+        a = rng.uniform(0.2, 1.5, n) * rng.choice([-1.0, 1.0], n)
+        h0 = a + rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        inst = ProblemInstance(a=a, c=0.1, h0=h0, c_bar=0.0, k=k, delta=0.7)
+        dyn = Exponential(0.4)
+        for kind in ALL_KINDS:
+            caps = np.minimum(margin_caps(inst, kind), 0.3)
+            eps = 0.2 if kind is ErrorKind.LEARNING_SPEED else caps * rng.uniform(0.5, 1, n)
+            spec = ErrorSpec(kind, eps)
+            for seed in (2**64, 2**100 + 7):
+                expected = scalar_validate(inst, spec, 150, seed=seed, dynamic=dyn)
+                report = validate_bound(inst, spec, trials=150, seed=seed, dynamic=dyn)
+                assert bits(report) == expected, (kind, seed)
+
     def test_to_dict_lists_every_trial(self, three_feature_instance):
         spec = ErrorSpec(ErrorKind.TRUTH_STATIC, 0.05)
         report = validate_bound(three_feature_instance, spec, trials=40, seed=4)
@@ -326,3 +347,48 @@ class TestValidateBoundMatchesScalarLoop:
         assert [r["bound"] for r in rows] == report.bounds.tolist()
         assert [r["ratio"] for r in rows] == report.ratios
 
+
+def default_rng_rows(seed, start, stop, n, low, high, scalar=False):
+    """Slow oracle: one numpy generator per trial, as the kernel's contract says."""
+    if scalar:
+        draws = [np.random.default_rng([seed, j]).uniform(low, high) for j in range(start, stop)]
+        return np.array(draws)[:, None]
+    return np.array(
+        [np.random.default_rng([seed, j]).uniform(low, high, size=n) for j in range(start, stop)]
+    )
+
+
+class TestTrialUniformsMatchDefaultRng:
+    # Seeds of one to eight 32-bit words (more than four run SeedSequence's
+    # extra mixing loop) and trial windows on both sides of 2**32, where the
+    # trial index grows a second entropy word.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**64, 2**96, 2**200 + 12345]),
+            st.integers(0, 2**224),
+        ),
+        start=st.one_of(st.integers(0, 5000), st.integers(2**32 - 12, 2**32 + 4)),
+        rows=st.integers(1, 12),
+        n=st.integers(1, 20),
+        eps=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    )
+    @example(seed=0, start=0, rows=3, n=8, eps=0.0)
+    @example(seed=2**32 - 1, start=1000, rows=4, n=1, eps=0.2)
+    @example(seed=2**64, start=7, rows=5, n=9, eps=1.0)
+    @example(seed=2**96 + 5, start=2**32 - 2, rows=4, n=3, eps=0.5)
+    def test_bits_match(self, seed, start, rows, n, eps):
+        stop = start + rows
+        got = _trial_uniforms(seed, start, stop, n, -eps, eps)
+        expected = default_rng_rows(seed, start, stop, n, -eps, eps)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        if n == 1:  # the learning-speed path draws one scalar per trial
+            scalar = default_rng_rows(seed, start, stop, 1, -eps, eps, scalar=True)
+            assert got.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_draws_in_small_pieces_change_nothing(self, monkeypatch, n):
+        monkeypatch.setattr(robustness, "_DRAW_CELLS", 20)
+        got = _trial_uniforms(11, 5, 60, n, -1.0, 1.0)
+        expected = default_rng_rows(11, 5, 60, n, -1.0, 1.0)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()

@@ -319,6 +319,24 @@ class TestCliCommands:
         )
         assert (code, out, err) == (2, "", "error: epsilon must be finite\n")
 
+    # A finite epsilon whose draw range -eps..eps overflows used to raise a
+    # raw OverflowError from numpy (exit 1).
+    def test_misspec_learning_speed_epsilon_too_large_exits_2(self, capsys, three_scenario):
+        code, out, err = run_cli(
+            capsys, "misspec", three_scenario, "--kind", "learning-speed",
+            "--epsilon", "1e308", "--trials", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: epsilon")
+
+    # A negative seed used to raise a raw ValueError from numpy (exit 1).
+    def test_misspec_negative_seed_exits_2(self, capsys, three_scenario):
+        code, out, err = run_cli(
+            capsys, "misspec", three_scenario, "--kind", "truth-static",
+            "--epsilon", "0.02", "--trials", "2", "--seed", "-1",
+        )
+        assert (code, out, err) == (2, "", "error: seed must be nonnegative\n")
+
     def test_output_file(self, capsys, three_scenario, tmp_path):
         out_path = tmp_path / "table.csv"
         code, out, _ = run_cli(
