@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .scenario import Scenario, load_scenario
 
 EVAL_STATIC_MAX_FEATURES = 12
 CSV_FLOAT = "%.15g"
+_CSV_SPECIAL = re.compile('[,"\r\n]')  # the characters csv may quote a cell for
 
 
 def format_subset(subset) -> str:
@@ -37,29 +39,49 @@ def format_subset(subset) -> str:
     return "+".join(str(i + 1) for i in sorted(subset))
 
 
-def _csv_cells(column):
-    if not isinstance(column, np.ndarray):
-        return column
-    cells = column.tolist()
-    return map(CSV_FLOAT.__mod__, cells) if column.dtype.kind == "f" else cells
+def _interleave(cells: list[list[str]], seps: list[str], row_end: str) -> str:
+    """Rows of text from columns of cells, in one join: row r is
+    ``seps[0] + cells[0][r] + seps[1] + cells[1][r] + ... + row_end``."""
+    row = [part for sep in seps for part in (sep, "")] + [row_end]
+    flat = row * len(cells[0])
+    for c, column in enumerate(cells):
+        flat[2 * c + 1 :: len(row)] = column
+    return "".join(flat)
+
+
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """`cells`, updated in place, as csv quotes them in a row of two or more:
+    only cells it may quote go through ``csv.writer``, whose rule decides."""
+    if _CSV_SPECIAL.search("".join(cells)):
+        marked = [i for i, cell in enumerate(cells) if _CSV_SPECIAL.search(cell)]
+        lines: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+        writer.writerows([cells[i]] for i in marked)
+        for i, line in zip(marked, lines):
+            cells[i] = line[:-1]
+    return cells
 
 
 def _write_csv(table: dict) -> str:
-    """CSV text of a table of named columns, header first.
+    """CSV text of a table of named columns, header first, with csv's
+    minimal quoting.
 
-    Float arrays are written with 15 significant digits; any other column
-    as csv writes its cells: ``str(cell)``, with None as an empty cell.
+    A float array's cells are written with 15 significant digits, an int or
+    bool array's with ``str``.  In any other column None is an empty cell, a
+    float is written as in a float array, and anything else with ``str``.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(table))
-    writer.writerows(zip(*map(_csv_cells, table.values())))
-    return buf.getvalue()
-
-
-def _optional_cells(values: list) -> list:
-    """CSV cells of a float column with gaps: None stays an empty cell."""
-    return [None if v is None else CSV_FLOAT % v for v in values]
+    columns = []
+    for name, column in zip(_csv_quoted(list(table)), table.values()):
+        if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+            fmt = CSV_FLOAT.__mod__ if column.dtype.kind == "f" else str
+            cells = list(map(fmt, column.tolist()))
+        else:
+            cells = _csv_quoted(
+                ["" if v is None else CSV_FLOAT % v if isinstance(v, float) else str(v)
+                 for v in column]
+            )
+        columns.append([name, *cells])
+    return _interleave(columns, ["", *[","] * (len(columns) - 1)], "\n")
 
 
 def _records(table: dict) -> list[dict]:
@@ -71,6 +93,10 @@ def _records(table: dict) -> list[dict]:
 def _json_cells(column) -> list[str]:
     """JSON text of each cell, as ``json.dumps`` writes it."""
     if isinstance(column, np.ndarray):
+        if column.dtype.kind == "b":
+            return np.where(column, "true", "false").tolist()
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
         column = column.tolist()
     if not column:
         return []
@@ -83,8 +109,8 @@ def _json_cells(column) -> list[str]:
 
 def _json_with_rows(payload: dict, key: str, table: dict) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` with the table's rows
-    (``_records(table)``) added under `key`, built from the table's columns
-    with one string template per row.
+    (``_records(table)``) added under `key`, interleaved from the table's
+    columns.
 
     A dotted `key` nests the rows: with ``"validation.per_trial"`` they go
     last in ``payload["validation"]``, which must be the payload's last key.
@@ -98,12 +124,11 @@ def _json_with_rows(payload: dict, key: str, table: dict) -> str:
         "\n" + "  " * level + "}" for level in reversed(range(len(parents) + 1))
     )
     pad = "  " * (len(parents) + 1)
-    template = f"{pad}  {{\n%s\n{pad}  }}" % ",\n".join(
-        f"{pad}    {json.encoder.encode_basestring_ascii(column)}: %s" for column in table
-    )
-    rows = ",\n".join(map(template.__mod__, zip(*map(_json_cells, table.values()))))
+    keys = [f"\n{pad}    {json.encoder.encode_basestring_ascii(c)}: " for c in table]
+    seps = [f"{pad}  {{{keys[0]}", *(f",{key}" for key in keys[1:])]
+    # The last row drops its ",\n"; unnamed, the cells are freed before the join.
+    rows = _interleave(list(map(_json_cells, table.values())), seps, f"\n{pad}  }},\n")[:-2]
     lead = f"{head[: -len(closing)]}," if payload else "{"
-    # One join, so the rows text is copied once.
     return "".join(
         (
             f"{lead}\n{pad}{json.encoder.encode_basestring_ascii(name)}: ",
@@ -113,37 +138,44 @@ def _json_with_rows(payload: dict, key: str, table: dict) -> str:
     )
 
 
-def _emit(
-    args, table: dict, payload: dict, rows_key: str | None = None, rows: dict | None = None
-) -> None:
+def _emit(args, table: dict, payload: dict, rows_key: str | None = None) -> None:
     """Write `table` as CSV, or `payload` as indented JSON.
 
-    With `rows_key`, the JSON gets the rows of `rows` (default: `table`) as
-    one more key, last.
+    With `rows_key`, the JSON gets the rows of `table` as one more key, last.
     """
     if args.format == "csv":
         text = _write_csv(table)
     elif rows_key is None:
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = _json_with_rows(payload, rows_key, table if rows is None else rows)
+        text = _json_with_rows(payload, rows_key, table)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _report_table(scenario: Scenario, plan) -> dict:
-    """One row per feature, by descending value (ties by index)."""
+def _emit_plan(args, scenario: Scenario, plan, **totals) -> int:
+    """The plan's subset and `totals`, then one report row per feature, by
+    descending value (ties by index)."""
     order = plan.order
-    return {
+    table = {
         "feature": order + 1,
-        "name": list(map(scenario.names.__getitem__, order.tolist())),
+        "name": np.array(scenario.names, dtype=object)[order].tolist(),
         "informativeness": plan.informativeness[order],
         "divergence0": plan.divergence0[order],
         "value": plan.values[order],
         "selected": plan.selected[order],
     }
+    payload = {
+        "subset": format_subset(plan.subset),
+        "features": [i + 1 for i in plan.subset],
+        "names": [scenario.names[i] for i in plan.subset],
+        **totals,
+        "degenerate": plan.degenerate,
+    }
+    _emit(args, table, payload, "reports")
+    return 0
 
 
 def cmd_eval_static(scenario: Scenario, args) -> int:
@@ -164,45 +196,29 @@ def cmd_eval_static(scenario: Scenario, args) -> int:
 
 
 def cmd_plan_static(scenario: Scenario, args) -> int:
-    plan = optimal_static_subset(scenario.instance)
-    payload = {
-        "subset": format_subset(plan.subset),
-        "features": [i + 1 for i in plan.subset],
-        "names": [scenario.names[i] for i in plan.subset],
-        "degenerate": plan.degenerate,
-    }
-    _emit(args, _report_table(scenario, plan), payload, "reports")
-    return 0
+    return _emit_plan(args, scenario, optimal_static_subset(scenario.instance))
 
 
 def cmd_plan_stationary(scenario: Scenario, args) -> int:
     plan = optimal_stationary_sequence(scenario.instance, scenario.dynamic)
     baseline = discounted_baseline_loss(scenario.instance)
-    payload = {
-        "subset": format_subset(plan.subset),
-        "features": [i + 1 for i in plan.subset],
-        "names": [scenario.names[i] for i in plan.subset],
-        "total_value": plan.total_value,
-        "loss": baseline - plan.total_value,
-        "baseline_loss": baseline,
-        "degenerate": plan.degenerate,
-    }
-    _emit(args, _report_table(scenario, plan), payload, "reports")
-    return 0
+    loss = baseline - plan.total_value
+    return _emit_plan(
+        args, scenario, plan, total_value=plan.total_value, loss=loss, baseline_loss=baseline
+    )
 
 
 def cmd_switch_points(scenario: Scenario, args) -> int:
     points = tradeoff.all_switch_points(scenario.instance, scenario.dynamic)
-    thresholds = [None if t != t else t for t in points.threshold.tolist()]
     table = {
         "i": points.i + 1,
         "j": points.j + 1,
         "delta_info": points.delta_info,
         "delta_div": points.delta_div,
         "kind": points.kind,
-        "threshold": thresholds,
+        "threshold": [None if t != t else t for t in points.threshold.tolist()],
     }
-    _emit(args, {**table, "threshold": _optional_cells(thresholds)}, {}, "points", table)
+    _emit(args, table, {}, "points")
     return 0
 
 
@@ -311,14 +327,11 @@ def cmd_misspec(scenario: Scenario, args) -> int:
         dynamic=scenario.dynamic,
     )
     payload["validation"] = validation.summary()
-    ratios = validation.ratios
-    per_trial = {"gap": validation.gaps, "bound": validation.bounds, "ratio": ratios}
-    table = {
-        "trial": list(range(validation.trials)),
-        **per_trial,
-        "ratio": _optional_cells(ratios),
-    }
-    _emit(args, table, payload, "validation.per_trial", per_trial)
+    per_trial = {"gap": validation.gaps, "bound": validation.bounds, "ratio": validation.ratios}
+    if args.format == "csv":
+        # JSON rows are in trial order; CSV rows name their trial.
+        per_trial = {"trial": range(validation.trials), **per_trial}
+    _emit(args, per_trial, payload, "validation.per_trial")
     if validation.violations:
         sys.stderr.write(
             f"bound violated in {validation.violations} of "
@@ -368,24 +381,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="teachsel",
         description="Plan feature selections for a learning human predictor.",
     )
+    # The options of every command, added once and shared by the subparsers.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("scenario", help="path to a scenario JSON file")
+    common.add_argument("--out", default=None, help="write output to this path")
+    common.add_argument("--format", choices=["json", "csv"], default="json")
+    common.add_argument(
+        "--allow-zero-coeff",
+        action="store_true",
+        help="accept zero true coefficients with a warning",
+    )
+    common.add_argument(
+        "--json-errors", action="store_true", help="report errors as JSON on stderr"
+    )
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--tol", type=float, default=1e-9)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, blurb) in COMMANDS.items():
-        p = sub.add_parser(name, help=blurb, description=blurb)
-        p.add_argument("scenario", help="path to a scenario JSON file")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument(
-            "--allow-zero-coeff",
-            action="store_true",
-            help="accept zero true coefficients with a warning",
-        )
-        p.add_argument(
-            "--json-errors",
-            action="store_true",
-            help="report errors as JSON on stderr",
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p = sub.add_parser(name, help=blurb, description=blurb, parents=[common])
         if name in ("sweep-delta", "sweep-heatmap"):
             p.add_argument("--grid", default="100", help='"N", "lo:hi:N", or "a,b,c"')
         if name == "sweep-heatmap":
@@ -393,11 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--prefix-len", type=int, default=3)
         if name == "misspec":
-            p.add_argument(
-                "--kind",
-                required=True,
-                choices=[k.value for k in robustness.ErrorKind],
-            )
+            kinds = [k.value for k in robustness.ErrorKind]
+            p.add_argument("--kind", required=True, choices=kinds)
             p.add_argument(
                 "--epsilon",
                 required=True,

@@ -116,7 +116,16 @@ def margins(
     spec: ErrorSpec,
     dynamic: LearningDynamic | None = None,
 ) -> MarginReport:
-    """Per-feature error margins for the given error type."""
+    """Per-feature error margins for the given error type; InvalidInputError
+    if one overflows to a non-finite value."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        report = _margins(instance, spec, dynamic)
+    if not np.isfinite([report.lower_margin, report.upper_margin]).all():
+        raise InvalidInputError(f"epsilon too large: {spec.kind.value} margins are not finite")
+    return report
+
+
+def _margins(instance, spec, dynamic) -> MarginReport:
     a = instance.a
     h = instance.h0
     gap = np.abs(a - h)
@@ -156,8 +165,7 @@ def margins(
         # e <= eps peaks at the parabola vertex; past it the worst case is
         # attained by a smaller error, so the margin must stop growing there
         # rather than follow the (then decreasing, invalid) formula.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = np.where(quad > 0.0, lin / (2.0 * quad), np.inf)
+        vertex = np.where(quad > 0.0, lin / (2.0 * quad), np.inf)
         eff = np.minimum(eps, vertex)
         lower = np.maximum(0.0, lin * eff - quad * eff**2)
         return MarginReport(spec.kind, lower_margin=lower, upper_margin=upper)

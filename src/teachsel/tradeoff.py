@@ -309,7 +309,9 @@ def _assemble_intervals(
     lo, hi = edges[:-1], edges[1:]
     wide = hi - lo > 0.0
     lo, hi = lo[wide], hi[wide]
-    masks = _top_k_masks(instance, dynamic, 0.5 * (lo + hi))
+    # Between neighbouring floats a midpoint can round onto 0 or 1, which are no patience levels.
+    mids = np.clip(0.5 * (lo + hi), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    masks = _top_k_masks(instance, dynamic, mids)
     changes = (masks[1:] != masks[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate(([True], changes)))
     ends = np.append(starts[1:], lo.size) - 1

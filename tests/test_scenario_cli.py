@@ -1,5 +1,7 @@
 """Scenario parsing and the command-line surface."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -9,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from teachsel import Exponential, ScenarioError, Tabulated, load_scenario
-from teachsel.cli import format_subset, main, parse_grid
+from teachsel import Exponential, ErrorKind, ScenarioError, Tabulated, load_scenario
+from teachsel.cli import COMMANDS, build_parser, format_subset, main, parse_grid
 
 from conftest import write_scenario
 
@@ -337,6 +339,26 @@ class TestCliCommands:
         )
         assert (code, out, err) == (2, "", "error: seed must be nonnegative\n")
 
+    # Margins of 2*eps*|h0| (|h0| = 1.1) and eps*divergence0 (divergence0
+    # > 1.8) used to overflow to inf: a numpy warning, "Infinity" in the
+    # JSON (not valid JSON) and exit 0.
+    @pytest.mark.parametrize("kind", ["truth-static", "learning-speed"])
+    def test_misspec_overflowing_margins_exit_2(self, capsys, tmp_path, kind):
+        path = write_scenario(
+            tmp_path / "wide.json",
+            features=[{"a": 0.3, "h0": 0.8}, {"a": -2.0, "h0": 1.1}],
+            k=1,
+            delta=0.9,
+        )
+        code, out, err = run_cli(capsys, "misspec", path, "--kind", kind, "--epsilon", "1e308")
+        assert (code, out) == (2, "")
+        assert err == f"error: epsilon too large: {kind} margins are not finite\n"
+        code, _, err = run_cli(
+            capsys, "misspec", path, "--kind", kind, "--epsilon", "1e308", "--json-errors"
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "InvalidInputError"
+
     def test_output_file(self, capsys, three_scenario, tmp_path):
         out_path = tmp_path / "table.csv"
         code, out, _ = run_cli(
@@ -405,3 +427,74 @@ class TestCliCommands:
     def test_format_subset(self):
         assert format_subset((2, 0)) == "1+3"
         assert format_subset(()) == ""
+
+
+def per_command_parser() -> argparse.ArgumentParser:
+    """The parser with every option added to each subcommand's own parser,
+    as it was built before the common options moved to one shared parent."""
+    parser = argparse.ArgumentParser(
+        prog="teachsel",
+        description="Plan feature selections for a learning human predictor.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, blurb) in COMMANDS.items():
+        p = sub.add_parser(name, help=blurb, description=blurb)
+        p.add_argument("scenario", help="path to a scenario JSON file")
+        p.add_argument("--out", default=None, help="write output to this path")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument(
+            "--allow-zero-coeff",
+            action="store_true",
+            help="accept zero true coefficients with a warning",
+        )
+        p.add_argument(
+            "--json-errors", action="store_true", help="report errors as JSON on stderr"
+        )
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-9)
+        if name in ("sweep-delta", "sweep-heatmap"):
+            p.add_argument("--grid", default="100", help='"N", "lo:hi:N", or "a,b,c"')
+        if name == "sweep-heatmap":
+            p.add_argument("--w-grid", default=None, help="grid for the retention axis")
+        if name == "verify":
+            p.add_argument("--prefix-len", type=int, default=3)
+        if name == "misspec":
+            p.add_argument("--kind", required=True, choices=[k.value for k in ErrorKind])
+            p.add_argument(
+                "--epsilon",
+                required=True,
+                help="error bound: one number or a comma list per feature",
+            )
+            p.add_argument("--trials", type=int, default=0)
+    return parser
+
+
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+PARSE_CASES = [["--help"], [], ["nope"], ["misspec", "s.json", "--epsilon", "1"]]
+for _name in COMMANDS:
+    PARSE_CASES += [
+        [_name, "--help"],
+        [_name],
+        [_name, "s.json"],
+        [_name, "s.json", "--format", "xml"],
+        [_name, "s.json", "--seed", "zz", "--tol", "1e-3"],
+        [_name, "s.json", "--bogus"],
+    ]
+
+
+@pytest.mark.parametrize("columns", ["80", "47", "200"])
+def test_shared_options_parse_and_print_as_per_command_options(monkeypatch, columns):
+    # Help and usage lines wrap at the terminal width argparse reads from
+    # COLUMNS, so each width is pinned.
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in PARSE_CASES:
+        assert parse_outcome(build_parser(), argv) == parse_outcome(per_command_parser(), argv)

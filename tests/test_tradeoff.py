@@ -35,6 +35,7 @@ from teachsel.planner import select_top_k
 from teachsel.tradeoff import (
     BISECT_MAX_ITER,
     BISECT_TOL,
+    _assemble_intervals,
     learning_weight_cdf,
 )
 
@@ -254,6 +255,16 @@ class TestEnumerateOptimalSubsets:
             (lo, hi, (1,)),
             (hi, 1.0, (2,)),
         ]
+
+    # Found by test_interval_informativeness_nondecreasing: a pair threshold
+    # at 1 - 2**-53 left an interval whose midpoint rounds to 1.0, and the
+    # probe there raised "delta must lie strictly inside (0,1)".
+    @pytest.mark.parametrize("boundary", [np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)])
+    def test_interval_next_to_0_or_1_is_probed_inside(self, boundary):
+        a = np.array([1.0, 1.5])
+        inst = ProblemInstance(a=a, c=0.0, h0=np.array([1.0, 0.0]), c_bar=0.0, k=1, delta=0.5)
+        intervals = _assemble_intervals(inst, Exponential(0.0), np.array([boundary]))
+        assert (intervals[0].lo, intervals[-1].hi) == (0.0, 1.0)
 
 
 class TestLossRatioHeatmap:
