@@ -51,14 +51,19 @@ def _interleave(cells: list[list[str]], seps: list[str], row_end: str) -> str:
 
 def _csv_quoted(cells: list[str]) -> list[str]:
     """`cells`, updated in place, as csv quotes them in a row of two or more:
-    only cells it may quote go through ``csv.writer``, whose rule decides."""
+    only cells it may quote go through ``csv.writer``, whose rule decides.
+
+    csv quotes a cell for the line-break characters in its line terminator
+    only, so the writer asked ends its lines with "\r\n": a cell holding
+    either character is quoted and reads back whole, though rows end in "\n".
+    """
     if _CSV_SPECIAL.search("".join(cells)):
         marked = [i for i, cell in enumerate(cells) if _CSV_SPECIAL.search(cell)]
         lines: list[str] = []
-        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
         writer.writerows([cells[i]] for i in marked)
         for i, line in zip(marked, lines):
-            cells[i] = line[:-1]
+            cells[i] = line[:-2]
     return cells
 
 

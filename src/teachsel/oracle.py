@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import LearningDynamic, discounted_phi_sum
 from .errors import InvalidInputError, VerificationError
 from .model import FeatureSubset, ProblemInstance, mse, normalize_subset
-from .planner import optimal_stationary_sequence
+from .planner import optimal_stationary_sequence, top_k_mask
 
 DEFAULT_TOL = 1e-9
 
@@ -201,12 +201,18 @@ def exhaustive_prefix_search(
 
     A prefix's future depends only on the step and on how often each feature
     has been observed, so the search runs forward over those count vectors
-    instead of enumerating all ``|subsets|**prefix_length`` prefixes.  Values
-    accumulate term by term in the enumeration's order, so every candidate
-    keeps the float value it would have had there.  At each step a prefix is
-    dropped only when an earlier prefix (as tuples) reached the same counts
-    with at least its value: float addition is monotone, so that prefix's
-    every continuation scores at least as high and sorts first.
+    instead of enumerating all ``|subsets|**prefix_length`` prefixes.  Each
+    step handles a whole level as columns: the kept prefixes' counts (one
+    row each), values, and counts read as digits in base
+    ``prefix_length + 1``.  Every (kept prefix, subset) pair is a candidate,
+    in that order, which is the order of the prefixes as tuples.  Values
+    accumulate one subset member at a time in ascending member order, so
+    every candidate keeps the float value the enumeration would give it.  A
+    candidate is kept only if its value beats every earlier candidate that
+    reached the same counts: float addition is monotone, so that earlier
+    prefix's every continuation scores at least as high and sorts first.
+    The prefixes themselves are rebuilt at the end from each level's parent
+    rows and subsets.
 
     Returns the best sequence (ties go to the smaller prefix) and its value,
     and raises VerificationError if it beats the best stationary sequence by
@@ -225,62 +231,80 @@ def exhaustive_prefix_search(
 
     n, k = instance.n, instance.k
     delta = instance.delta
-    info = instance.informativeness.tolist()
-    div = instance.divergence0.tolist()
+    info, div = instance.informativeness, instance.divergence0
     # Ascending tuple order: extending prefixes taken in ascending order
     # yields the next step's prefixes in ascending order too.
     subsets = sorted(_all_subsets(n, k))
+    # Members in ascending order, padded with feature n: a dummy whose count
+    # and terms stay 0.  Values start at +0.0 and so are never -0.0, and
+    # adding +0.0 leaves every other float as it is.
+    members = np.full((len(subsets), k), n)
+    observed = np.zeros((len(subsets), n + 1), dtype=np.int64)
+    for s, subset in enumerate(subsets):
+        members[s, : len(subset)] = subset
+        observed[s, list(subset)] = 1
+    # A state reads the counts as digits in base prefix_length + 1.
+    codes = observed[:, :n] @ (prefix_length + 1) ** np.arange(n)
 
     # A feature can be observed at most prefix_length times before the tail,
     # so every phi value and offset tail weight the search needs is one of
-    # these; caching them keeps the search in plain arithmetic.
-    phis = [dynamic.phi(m) for m in range(prefix_length + 1)]
-    tail_weights = [
-        discounted_phi_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)
-    ]
+    # these.
+    phis = np.array([dynamic.phi(m) for m in range(prefix_length + 1)])
+    tail_weights = np.array(
+        [discounted_phi_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)]
+    )
     discounts = [delta**t for t in range(prefix_length + 1)]
-    horizon_mass = 1.0 / (1.0 - delta)
 
-    # level: (prefix, counts, value) for every kept prefix, ascending by prefix.
-    level = [((), (0,) * n, 0.0)]
+    counts = np.zeros((1, n + 1), dtype=np.int64)
+    values = np.zeros(1)
+    states = np.zeros(1, dtype=np.int64)
+    parents, choices = [], []
     for t in range(prefix_length):
-        terms = [
-            [discounts[t] * (info[i] - phis[m] * div[i]) for m in range(t + 1)]
-            for i in range(n)
-        ]
-        best_at: dict[tuple[int, ...], float] = {}
-        kept = []
-        for prefix, counts, value in level:
-            for subset in subsets:
-                m = list(counts)
-                v = value
-                for i in subset:
-                    v += terms[i][m[i]]
-                    m[i] += 1
-                state = tuple(m)
-                if v > best_at.get(state, -np.inf):
-                    best_at[state] = v
-                    kept.append((prefix + (subset,), state, v))
-        level = kept
+        terms = np.zeros((n + 1, t + 1))
+        terms[:n] = discounts[t] * (info[:, None] - phis[: t + 1] * div[:, None])
+        v = np.repeat(values[:, None], len(subsets), axis=1)
+        for j in range(k):
+            v += terms[members[:, j], counts[:, members[:, j]]]
+        v = v.ravel()
+        cand_states = (states[:, None] + codes).ravel()
+        # Sorted by state, then value descending, then candidate: a candidate
+        # beats every earlier one of its state iff it has the smallest index
+        # of its state so far.  The offset restarts the running minimum at
+        # each state; -inf and nan never beat anything.
+        cand = np.arange(v.size)
+        order = np.lexsort((cand, -v, cand_states))
+        sorted_states = cand_states[order]
+        group = np.cumsum(np.r_[True, sorted_states[1:] != sorted_states[:-1]])
+        key = order - group * v.size
+        record = (key == np.minimum.accumulate(key)) & (v[order] > -np.inf)
+        kept = np.sort(order[record])
+        parent, choice = np.divmod(kept, len(subsets))
+        parents.append(parent)
+        choices.append(choice)
+        counts = counts[parent] + observed[choice]
+        values = v[kept]
+        states = cand_states[kept]
 
-    tail_gains: dict[tuple[int, ...], tuple[FeatureSubset, float]] = {}
-    best_value = -np.inf
+    tail_values = info * (1.0 / (1.0 - delta)) - tail_weights[counts[:, :n]] * div
+    tails = top_k_mask(tail_values, k)
+    # Members in ascending index order from 0.0, as Python's sum adds them.
+    gain = np.zeros(values.size)
+    for i in range(n):
+        gain += np.where(tails[:, i], tail_values[:, i], 0.0)
+    totals = values + discounts[prefix_length] * gain
+    # The first largest total wins, as a strict > over the rows in order,
+    # which never picks nan.
+    totals[np.isnan(totals)] = -np.inf
+    row = int(np.argmax(totals))
+    best_value = float(totals[row])
     best_seq = SelectionSequence.all_empty()
-    for prefix, counts, value in level:
-        if counts not in tail_gains:
-            tail_values = [
-                info[i] * horizon_mass - tail_weights[counts[i]] * div[i]
-                for i in range(n)
-            ]
-            order = sorted(range(n), key=lambda i: (-tail_values[i], i))
-            tail = tuple(sorted(i for i in order[:k] if tail_values[i] > 0.0))
-            gain = discounts[prefix_length] * sum(tail_values[i] for i in tail)
-            tail_gains[counts] = (tail, gain)
-        tail, gain = tail_gains[counts]
-        value += gain
-        if value > best_value:
-            best_value = value
-            best_seq = SelectionSequence(prefix=prefix, tail=tail)
+    if best_value > -np.inf:
+        tail = tuple(np.flatnonzero(tails[row]).tolist())
+        prefix = []
+        for parent, choice in zip(reversed(parents), reversed(choices)):
+            prefix.append(subsets[choice[row]])
+            row = parent[row]
+        best_seq = SelectionSequence(prefix=tuple(reversed(prefix)), tail=tail)
 
     stationary_value = optimal_stationary_sequence(instance, dynamic).total_value
     if best_value > stationary_value + tol:
@@ -288,4 +312,4 @@ def exhaustive_prefix_search(
             f"prefixed sequence {best_seq} attains value {best_value}, beating "
             f"the best stationary value {stationary_value} by more than {tol}"
         )
-    return best_seq, float(best_value)
+    return best_seq, best_value

@@ -68,12 +68,23 @@ def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     """Row by row, the mask of `select_top_k`'s features.
 
     For a 2-d `values` with many rows, such as one row per sampled estimate.
+    Each row is partitioned at its k-th largest value rather than sorted:
+    entries above it are kept, and entries equal to it fill the remaining
+    places lowest index first, as the stable descending order takes them.
+    A row with fewer than k values that are not nan keeps all of them.
     """
-    top = np.argsort(-values, axis=-1, kind="stable")[..., :k]
-    mask = np.zeros(values.shape, dtype=bool)
-    # Strictly positive values lead the descending order.
-    np.put_along_axis(mask, top, np.take_along_axis(values, top, axis=-1) > 0.0, axis=-1)
-    return mask
+    if k <= 0:
+        return np.zeros(values.shape, dtype=bool)
+    if k >= values.shape[-1]:
+        return values > 0.0
+    # Negated, nan sorts after every value, as in the descending order.
+    kth = -np.partition(-values, k - 1, axis=-1)[..., k - 1 : k]
+    mask = values > kth
+    tied = values == kth
+    room = k - np.count_nonzero(mask, axis=-1, keepdims=True)
+    mask |= tied & (np.cumsum(tied, axis=-1, dtype=np.int32) <= room)
+    mask |= np.isnan(kth)
+    return mask & (values > 0.0)
 
 
 def select_top_k(values: np.ndarray, k: int, order: np.ndarray | None = None):

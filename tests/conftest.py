@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from teachsel import ProblemInstance
+from teachsel import Exponential, ProblemInstance, Tabulated
 
 
 @pytest.fixture
@@ -41,6 +41,20 @@ def random_instance(
     return ProblemInstance(
         a=a, c=float(rng.normal()), h0=h0, c_bar=float(rng.normal()), k=k, delta=delta
     )
+
+
+def verify_search_case(rng: np.random.Generator, idx: int):
+    """An n = 4, k = 2 instance and dynamic drawn as the verify benchmark
+    draws them: even `idx` learns geometrically, odd `idx` by a 3-step table."""
+    a = rng.uniform(0.05, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
+    h0 = rng.normal(0.0, 1.0, 4)
+    if idx % 2 == 0:
+        dynamic = Exponential(float(rng.uniform(0.2, 0.8)))
+    else:
+        drops = np.sort(rng.uniform(0.1, 0.9, 3))[::-1]
+        dynamic = Tabulated((1.0, *drops.tolist()), tail_w=float(rng.uniform(0.5, 0.9)))
+    delta = float(rng.uniform(0.3, 0.9))
+    return ProblemInstance(a=a, c=0.2, h0=h0, c_bar=0.1, k=2, delta=delta), dynamic
 
 
 def write_scenario(path, *, features, c=0.0, c_bar=0.0, k=1, delta=0.5, dynamic=None, **extra):

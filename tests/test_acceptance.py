@@ -43,7 +43,7 @@ from teachsel.cli import main
 from teachsel.oracle import exhaustive_prefix_search
 from teachsel.planner import discounted_baseline_loss
 
-from conftest import random_instance, write_scenario
+from conftest import random_instance, verify_search_case, write_scenario
 
 THREE_FEATURES = [
     {"name": "test1", "a": 0.3, "h0": 0.8},
@@ -418,6 +418,27 @@ def test_misspec_validation_speed():
         elapsed = min(elapsed, time.perf_counter() - start)
     assert report.trials == 10_000 and report.violations == 0
     assert elapsed < 0.1, f"misspec validation took {elapsed:.3f}s, over 0.1s"
+
+
+def test_verify_search_speed():
+    """Six exact prefix searches at n = 4, k = 2, prefix length 4, three per
+    dynamic, in under 0.03 s together.
+
+    The bound may be tightened, never loosened.
+    """
+    rng = np.random.default_rng(1203)
+    cases = [verify_search_case(rng, idx) for idx in range(6)]
+    # Best of three guards against scheduler stalls on shared runners.
+    elapsed = np.inf
+    for _ in range(3):
+        gc.collect()
+        start = time.perf_counter()
+        results = [exhaustive_prefix_search(inst, dyn, 4) for inst, dyn in cases]
+        elapsed = min(elapsed, time.perf_counter() - start)
+    for (inst, dyn), (_, value) in zip(cases, results):
+        stationary = optimal_stationary_sequence(inst, dyn).total_value
+        assert value <= stationary + 1e-9
+    assert elapsed < 0.03, f"verify searches took {elapsed:.3f}s, over 0.03s"
 
 
 def test_criterion_10_value_loss_duality(record):

@@ -25,7 +25,7 @@ from teachsel import (
     simulate_beliefs,
 )
 
-from conftest import random_instance
+from conftest import random_instance, verify_search_case
 from teachsel.oracle import _all_subsets
 
 
@@ -400,3 +400,15 @@ class TestSearchMatchesEnumeration:
         assert expected[0].prefix == ((0, 1), (0, 1), (1, 2))
         assert (seq.prefix, seq.tail) == (expected[0].prefix, expected[0].tail)
         assert value.hex() == expected[1].hex()
+
+    def test_full_depth_benchmark_instances(self):
+        # Instances like the verify benchmark's, at prefix length 4, keep
+        # 1,300 to 2,800 prefixes at the last level: far more than the
+        # hypothesis cases above usually reach.
+        rng = np.random.default_rng(1004)
+        for idx in range(6):
+            inst, dyn = verify_search_case(rng, idx)
+            expected_seq, expected_value = enumerated_prefix_search(inst, dyn, 4)
+            seq, value = exhaustive_prefix_search(inst, dyn, 4)
+            assert (seq.prefix, seq.tail) == (expected_seq.prefix, expected_seq.tail)
+            assert value.hex() == expected_value.hex()

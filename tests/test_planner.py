@@ -20,7 +20,7 @@ from teachsel import (
     stationary_values,
 )
 
-from teachsel.planner import select_top_k
+from teachsel.planner import select_top_k, top_k_mask
 
 from conftest import random_instance
 
@@ -234,3 +234,36 @@ def test_row_wise_selection_matches_one_row_at_a_time(rows, k):
     values = np.array(rows)
     expected = [select_top_k(row, k) for row in values]
     assert select_top_k(values, k) == expected
+
+
+def argsort_top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
+    """Slow oracle: the stable descending order's first k entries, kept
+    where strictly positive."""
+    top = np.argsort(-values, axis=-1, kind="stable")[..., :k]
+    mask = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(mask, top, np.take_along_axis(values, top, axis=-1) > 0.0, axis=-1)
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.integers(1, 7).flatmap(
+        lambda n: st.one_of(
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan]), min_size=n, max_size=n),
+            st.lists(
+                st.lists(
+                    st.one_of(st.sampled_from([-0.0, 0.0, 0.5, np.nan]), st.floats()),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    ),
+    k=st.integers(0, 9),
+)
+def test_partitioned_mask_matches_stable_argsort(values, k):
+    """Ties, signed zeros, nan and k = 0 or k >= n, in one row or in many."""
+    values = np.array(values)
+    np.testing.assert_array_equal(top_k_mask(values, k), argsort_top_k_mask(values, k))

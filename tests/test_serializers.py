@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,8 +49,8 @@ EDGE_FEATURES = [
     {"name": "trailing space ", "a": -0.4, "h0": 0.1},
     {"name": '""', "a": 0.6, "h0": 0.9},
 ]
-# Names that test csv's quoting rules at their edges: csv may leave a lone
-# "\r" unquoted, and it never quotes spaces.
+# Names that test csv's quoting rules at their edges: a lone "\r" is quoted
+# only for a line terminator that holds it, and spaces are never quoted.
 EDGE_NAMES = ["", "\r", "a\rb", "\n", " x", "y ", '""', '"', ",", "plain"]
 
 
@@ -62,12 +63,14 @@ def _fmt(value) -> str:
 
 
 def oracle_csv(rows: list[dict], header: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """csv's rows with its quoting for a "\r\n" line terminator, so that a
+    cell holding "\r" or "\n" is quoted, each row ended by "\n"."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(row[col]) for col in header])
-    return buf.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def oracle_rows(scenario, plan) -> list[dict]:
@@ -200,8 +203,19 @@ def test_csv_list_and_tuple_columns_match_oracle(rows):
 @given(cells=st.lists(st.one_of(st.text(), st.sampled_from(EDGE_NAMES)), min_size=2))
 def test_quoted_cells_match_csv_writer(cells):
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    assert ",".join(_csv_quoted(list(cells))) + "\n" == buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    assert ",".join(_csv_quoted(list(cells))) + "\r\n" == buf.getvalue()
+
+
+def test_csv_reader_reads_edge_names_back(capsys, tmp_path):
+    features = [{"name": name, "a": 0.5, "h0": 0.1} for name in EDGE_NAMES]
+    path = write_scenario(tmp_path / "names.json", features=features, k=2, delta=0.9)
+    assert main(["plan-static", str(path), "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0][:2] == ["feature", "name"]
+    # Every value ties, so the rows keep the features' order.
+    assert [row[1] for row in rows[1:]] == EDGE_NAMES
 
 
 def test_header_only_table():
