@@ -97,14 +97,6 @@ def simulate_beliefs(
     return BeliefTrajectory(h=h, counts=counts)
 
 
-def _tail_counts(instance: ProblemInstance, seq: SelectionSequence) -> np.ndarray:
-    counts = np.zeros(instance.n, dtype=int)
-    for subset in seq.prefix:
-        for i in subset:
-            counts[i] += 1
-    return counts
-
-
 def _check_tol(tol: float) -> None:
     """A tolerance is a positive finite number: nan or inf would make every
     check pass."""

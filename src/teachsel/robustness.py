@@ -237,16 +237,6 @@ class ValidationReport:
             "max_ratio": self.max_ratio,
         }
 
-    def to_dict(self) -> dict:
-        rows = zip(self.gaps.tolist(), self.bounds.tolist(), self.ratios)
-        return {
-            **self.summary(),
-            "per_trial": [
-                {"gap": gap, "bound": bound, "ratio": ratio}
-                for gap, bound, ratio in rows
-            ],
-        }
-
 
 def _true_values(
     instance: ProblemInstance, kind: ErrorKind, dynamic: LearningDynamic | None
@@ -283,139 +273,6 @@ def _perturbed_values(
     raise InvalidInputError(f"unknown error kind {kind!r}")
 
 
-# numpy's SeedSequence hash constants (numpy.random.bit_generator).
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
-_POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit halves.
-_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
-_SHIFT32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
-# _trial_uniforms works through about this many draws at a time.
-_DRAW_CELLS = 1 << 13
-
-
-def _hash_constants(init: int, mult: int):
-    """The (xor, multiply) pairs of successive SeedSequence hashmix calls."""
-    h = init
-    while True:
-        xor, h = h, (h * mult) & _MASK32
-        yield np.uint32(xor), np.uint32(h)
-
-
-def _hashmix(value: np.ndarray, constants) -> np.ndarray:
-    xor, mult = next(constants)
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> np.uint32(16))
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """(a * b) mod 2**128 on uint64 (high, low) halves; operands broadcast."""
-    a0, a1 = a_lo & _LOW32, a_lo >> _SHIFT32
-    b0, b1 = b_lo & _LOW32, b_lo >> _SHIFT32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return carry + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _lcg_jumps(steps: int):
-    """For m = 1..steps, (M**m, 1 + M + ... + M**(m-1)) mod 2**128 as uint64
-    (high, low) columns: m PCG64 steps map a state x to the first times x
-    plus the second times the increment.  Built by doubling the run."""
-    a_hi, a_lo = np.array([_PCG_MULT[0]]), np.array([_PCG_MULT[1]])
-    s_hi, s_lo = np.zeros(1, np.uint64), np.ones(1, np.uint64)
-    while a_hi.size < steps:
-        # m + i steps are i steps taken after the first m.
-        more_a = _mul128(a_hi, a_lo, a_hi[-1], a_lo[-1])
-        more_s = _add128(*_mul128(a_hi, a_lo, s_hi[-1], s_lo[-1]), s_hi, s_lo)
-        a_hi, a_lo = np.concatenate([a_hi, more_a[0]]), np.concatenate([a_lo, more_a[1]])
-        s_hi, s_lo = np.concatenate([s_hi, more_s[0]]), np.concatenate([s_lo, more_s[1]])
-    return a_hi[:steps], a_lo[:steps], s_hi[:steps], s_lo[:steps]
-
-
-def _trial_uniforms(
-    seed: int, start: int, stop: int, n: int, low: float, high: float
-) -> np.ndarray:
-    """Row j - start is ``np.random.default_rng([seed, j]).uniform(low, high, n)``
-    for each trial j in [start, stop), bit for bit, computed for all rows at once.
-
-    It reproduces numpy's two documented algorithms on uint32/uint64 lanes:
-    SeedSequence hashes the entropy words of (seed, j) into its pool and
-    generates four 64-bit words, PCG64 seeds its 128-bit LCG from them and
-    emits one XSL-RR output per draw, which becomes ``(x >> 11) * 2**-53``.
-    Each draw is one jump of its row's LCG rather than a loop of steps.
-    Needs seed >= 0 and stop <= 2**64.
-    """
-    if start < 1 << 32 < stop:  # j's entropy grows a second word at 2**32
-        return np.concatenate(
-            [
-                _trial_uniforms(seed, start, 1 << 32, n, low, high),
-                _trial_uniforms(seed, 1 << 32, stop, n, low, high),
-            ]
-        )
-    j = np.arange(start, stop, dtype=np.uint64)
-    seed_words, rest = [seed & _MASK32], seed >> 32
-    while rest:
-        seed_words.append(rest & _MASK32)
-        rest >>= 32
-    entropy = [np.full(j.size, w, np.uint32) for w in seed_words]
-    entropy.append((j & _LOW32).astype(np.uint32))
-    if start >= 1 << 32:
-        entropy.append((j >> _SHIFT32).astype(np.uint32))
-
-    # SeedSequence: mix the entropy into the pool, then generate_state(4, uint64).
-    hashes = _hash_constants(_INIT_A, _MULT_A)
-    zero = np.zeros(j.size, np.uint32)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, hashes) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, hashes))
-    hashes = _hash_constants(_INIT_B, _MULT_B)
-    words = [_hashmix(pool[i % _POOL_SIZE], hashes).astype(np.uint64) for i in range(8)]
-    state_hi, state_lo, seq_hi, seq_lo = (
-        words[2 * i] | (words[2 * i + 1] << _SHIFT32) for i in range(4)
-    )
-
-    # PCG64 srandom: inc = 2 * initseq + 1, step, state += initstate, step.
-    # Draw i therefore sees M**(i+2) * initstate + (1 + M + ... + M**(i+2)) * inc.
-    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    a_hi, a_lo, s_hi, s_lo = _lcg_jumps(n + 2)
-    # Grids are (draw, trial): the long trial axis innermost keeps numpy's
-    # loops long, and pieces of _DRAW_CELLS keep the temporaries small.
-    a_hi, a_lo, s_hi, s_lo = a_hi[1:-1, None], a_lo[1:-1, None], s_hi[2:, None], s_lo[2:, None]
-    unit = np.empty((j.size, n))
-    step = max(1, _DRAW_CELLS // n)
-    for r in range(0, j.size, step):
-        rows = slice(r, r + step)
-        hi, lo = _add128(
-            *_mul128(state_hi[rows], state_lo[rows], a_hi, a_lo),
-            *_mul128(inc_hi[rows], inc_lo[rows], s_hi, s_lo),
-        )
-        # XSL-RR output, then its top 53 bits as a double in [0, 1).
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        unit[rows] = ((x >> np.uint64(11)).astype(np.float64) * 2.0**-53).T
-    return low + (high - low) * unit
-
-
 def validate_bound(
     instance: ProblemInstance,
     spec: ErrorSpec,
@@ -428,11 +285,11 @@ def validate_bound(
     Each trial draws the planner's mistaken estimates uniformly within the
     allowed error, lets it pick a subset, and checks that the true value it
     gave up stays within `aggregate_gap_bound` (plus numerical slack).
-    The draw for trial j is exactly ``np.random.default_rng([seed, j])``'s
-    (numpy's SeedSequence feeding PCG64; see `_trial_uniforms`), so a run
-    of N trials is the first N trials of any longer run.  Trials are
-    scored a block at a time, one row of estimates per trial, and the
-    value lost and its bound are computed once per distinct chosen subset.
+    Trials draw in order from one ``np.random.default_rng(seed)`` stream,
+    one double per draw, so a run of N trials is the first N trials of any
+    longer run.  Trials are scored a block at a time, one row of estimates
+    per trial, and the value lost and its bound are computed once per
+    distinct chosen subset.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
@@ -450,13 +307,14 @@ def validate_bound(
         raise InvalidInputError("epsilon is too large: the draw range 2*epsilon overflows")
     gaps = np.empty(trials)
     bounds = np.empty(trials)
+    rng = np.random.default_rng(seed)
     rows = max(1, BLOCK_CELLS // n)
     for start in range(0, trials, rows):
         stop = min(trials, start + rows)
         if scalar:
-            noise = _trial_uniforms(seed, start, stop, 1, -eps, eps)
+            noise = rng.uniform(-eps, eps, (stop - start, 1))
         else:
-            noise = _trial_uniforms(seed, start, stop, n, -1.0, 1.0) * eps
+            noise = rng.uniform(-1.0, 1.0, (stop - start, n)) * eps
         mistaken = _perturbed_values(instance, spec.kind, dynamic, noise)
         chosen = top_k_mask(mistaken, instance.k)
         # One packed byte key per row: np.unique on 1-D keys is about 10x

@@ -407,14 +407,11 @@ def sweep_w_delta_loss_ratio(
 
     info = instance.informativeness
     p, q = (0, 1) if info[0] >= info[1] else (1, 0)
-    div = instance.divergence0
     baseline = instance.mse_empty() / (1.0 - deltas)
     ratios = np.empty((ws.size, deltas.size))
     for wi, w in enumerate(ws):
-        weights = np.asarray(discounted_phi_sum(Exponential(float(w)), deltas))
-        loss_p = baseline - (info[p] / (1.0 - deltas) - weights * div[p])
-        loss_q = baseline - (info[q] / (1.0 - deltas) - weights * div[q])
-        ratios[wi] = loss_p / loss_q
+        v = stationary_values(instance, Exponential(float(w)), deltas)
+        ratios[wi] = (baseline - v[:, p]) / (baseline - v[:, q])
     return HeatmapResult(
         w_grid=ws,
         delta_grid=deltas,

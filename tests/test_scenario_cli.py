@@ -5,8 +5,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,10 +418,13 @@ class TestCliCommands:
         assert first == second
 
     def test_console_entry_point(self, three_scenario):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "teachsel", "plan-static", str(three_scenario)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["subset"] == "2+3"
