@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import re
@@ -49,6 +50,13 @@ def _interleave(cells: list[list[str]], seps: list[str], row_end: str) -> str:
     return "".join(flat)
 
 
+def _picked(cells: list[list[str]], seps: list[str], index) -> list[str]:
+    """The text of rows ``index[0], index[1], ...`` of columns of cells, each
+    distinct row's text built once: ``seps[0] + cells[0][i] + seps[1] + ...``."""
+    texts = ["".join(itertools.chain.from_iterable(zip(seps, row))) for row in zip(*cells)]
+    return np.array(texts, dtype=object)[index].tolist()
+
+
 def _csv_quoted(cells: list[str]) -> list[str]:
     """`cells`, updated in place, as csv quotes them in a row of two or more:
     only cells it may quote go through ``csv.writer``, whose rule decides.
@@ -67,16 +75,23 @@ def _csv_quoted(cells: list[str]) -> list[str]:
     return cells
 
 
-def _write_csv(table: dict) -> str:
+def _write_csv(table: dict, index=None, numbered: str | None = None) -> str:
     """CSV text of a table of named columns, header first, with csv's
     minimal quoting.
 
     A float array's cells are written with 15 significant digits, an int or
     bool array's with ``str``.  In any other column None is an empty cell, a
     float is written as in a float array, and anything else with ``str``.
+
+    With an int array `index`, the table holds distinct rows: the rows
+    written are rows ``index[0], index[1], ...``, each distinct row's text
+    built once.  None writes every row once, in order.  With `numbered`, a
+    first column of that name counts the rows written from 0.
     """
+    lead = [] if numbered is None else [numbered]
+    names = _csv_quoted([*lead, *table])
     columns = []
-    for name, column in zip(_csv_quoted(list(table)), table.values()):
+    for name, column in zip(names[len(lead) :], table.values()):
         if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
             fmt = CSV_FLOAT.__mod__ if column.dtype.kind == "f" else str
             cells = list(map(fmt, column.tolist()))
@@ -86,6 +101,12 @@ def _write_csv(table: dict) -> str:
                  for v in column]
             )
         columns.append([name, *cells])
+    if index is not None:
+        seps = ["", *[","] * (len(columns) - 1)]
+        header = ",".join(column[0] for column in columns)
+        columns = [[header, *_picked([column[1:] for column in columns], seps, index)]]
+    if lead:
+        columns.insert(0, [names[0], *map(str, range(len(columns[0]) - 1))])
     return _interleave(columns, ["", *[","] * (len(columns) - 1)], "\n")
 
 
@@ -112,7 +133,7 @@ def _json_cells(column) -> list[str]:
     return json.dumps(column)[1:-1].split(", ")
 
 
-def _json_with_rows(payload: dict, key: str, table: dict) -> str:
+def _json_with_rows(payload: dict, key: str, table: dict, index=None) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` with the table's rows
     (``_records(table)``) added under `key`, interleaved from the table's
     columns.
@@ -120,7 +141,10 @@ def _json_with_rows(payload: dict, key: str, table: dict) -> str:
     A dotted `key` nests the rows: with ``"validation.per_trial"`` they go
     last in ``payload["validation"]``, which must be the payload's last key.
     String columns are lists of str.  An empty table gives ``[]``; every
-    dict on the path but the payload itself must not be empty.
+    dict on the path but the payload itself must not be empty.  With an int
+    array `index`, the table holds distinct rows and the rows written are
+    rows ``index[0], index[1], ...``, each distinct row's text built once;
+    None writes every row once, in order.
     """
     *parents, name = key.split(".")
     head = json.dumps(payload, indent=2)
@@ -131,8 +155,12 @@ def _json_with_rows(payload: dict, key: str, table: dict) -> str:
     pad = "  " * (len(parents) + 1)
     keys = [f"\n{pad}    {json.encoder.encode_basestring_ascii(c)}: " for c in table]
     seps = [f"{pad}  {{{keys[0]}", *(f",{key}" for key in keys[1:])]
-    # The last row drops its ",\n"; unnamed, the cells are freed before the join.
-    rows = _interleave(list(map(_json_cells, table.values())), seps, f"\n{pad}  }},\n")[:-2]
+    cells = list(map(_json_cells, table.values()))
+    if index is not None:
+        cells, seps = [_picked(cells, seps, index)], [""]
+    rows = _interleave(cells, seps, f"\n{pad}  }},\n")
+    del cells  # freed before the copies below
+    rows = rows[:-2]  # the last row drops its ",\n"
     lead = f"{head[: -len(closing)]}," if payload else "{"
     return "".join(
         (
@@ -143,17 +171,21 @@ def _json_with_rows(payload: dict, key: str, table: dict) -> str:
     )
 
 
-def _emit(args, table: dict, payload: dict, rows_key: str | None = None) -> None:
+def _emit(
+    args, table: dict, payload: dict, rows_key: str | None = None, index=None, numbered=None
+) -> None:
     """Write `table` as CSV, or `payload` as indented JSON.
 
     With `rows_key`, the JSON gets the rows of `table` as one more key, last.
+    `index` picks the rows written, as in ``_write_csv`` and
+    ``_json_with_rows``; `numbered` names a CSV column of row numbers.
     """
     if args.format == "csv":
-        text = _write_csv(table)
+        text = _write_csv(table, index, numbered)
     elif rows_key is None:
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = _json_with_rows(payload, rows_key, table)
+        text = _json_with_rows(payload, rows_key, table, index)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -196,7 +228,7 @@ def cmd_eval_static(scenario: Scenario, args) -> int:
         "subset": [format_subset(s) for s in subsets],
         "mse": np.array([mse(instance, s) for s in subsets]),
     }
-    _emit(args, table, {"rows": _records(table)})
+    _emit(args, table, {}, "rows")
     return 0
 
 
@@ -237,7 +269,7 @@ def cmd_sweep_delta(scenario: Scenario, args) -> int:
         "informativeness": result.informativeness,
         "loss": result.loss,
     }
-    _emit(args, table, {"rows": _records(table)})
+    _emit(args, table, {}, "rows")
     return 0
 
 
@@ -269,7 +301,7 @@ def cmd_enumerate_subsets(scenario: Scenario, args) -> int:
         "subset": [format_subset(iv.subset) for iv in intervals],
         "informativeness": np.array([iv.informativeness for iv in intervals]),
     }
-    _emit(args, table, {"intervals": _records(table)})
+    _emit(args, table, {}, "intervals")
     return 0
 
 
@@ -332,11 +364,14 @@ def cmd_misspec(scenario: Scenario, args) -> int:
         dynamic=scenario.dynamic,
     )
     payload["validation"] = validation.summary()
-    per_trial = {"gap": validation.gaps, "bound": validation.bounds, "ratio": validation.ratios}
-    if args.format == "csv":
-        # JSON rows are in trial order; CSV rows name their trial.
-        per_trial = {"trial": range(validation.trials), **per_trial}
-    _emit(args, per_trial, payload, "validation.per_trial")
+    subsets = {
+        "gap": validation.subset_gap,
+        "bound": validation.subset_bound,
+        "ratio": validation.subset_ratio,
+    }
+    # One row per trial, written from its subset's row; JSON rows are in
+    # trial order, CSV rows name their trial.
+    _emit(args, subsets, payload, "validation.per_trial", validation.trial_subset, "trial")
     if validation.violations:
         sys.stderr.write(
             f"bound violated in {validation.violations} of "
@@ -422,8 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of this process shares."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = load_scenario(
             args.scenario, allow_zero_coeff=args.allow_zero_coeff

@@ -205,7 +205,15 @@ def aggregate_gap_bound(
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Summary of a validation run, with one `gaps`/`bounds` entry per trial."""
+    """Summary of a validation run, with its per-trial scores as columns.
+
+    Trials that choose the same subset score the same, so each distinct
+    chosen subset is scored once, in one row of the short columns
+    `subset_gap`, `subset_bound` and `subset_ratio` (``gap / bound``, or
+    None where the bound is not positive).  `trial_subset` holds one int
+    per trial: the row of its chosen subset.  A subset chosen in two blocks
+    of trials may have a row for each.
+    """
 
     kind: ErrorKind
     trials: int
@@ -214,16 +222,20 @@ class ValidationReport:
     max_gap: float
     mean_gap: float
     max_ratio: float | None
-    gaps: np.ndarray
-    bounds: np.ndarray
+    subset_gap: np.ndarray
+    subset_bound: np.ndarray
+    subset_ratio: list[float | None]
+    trial_subset: np.ndarray
 
     @property
-    def ratios(self) -> list[float | None]:
-        """``gap / bound`` per trial; None where the bound is not positive."""
-        return [
-            gap / bound if bound > 0.0 else None
-            for gap, bound in zip(self.gaps.tolist(), self.bounds.tolist())
-        ]
+    def gaps(self) -> np.ndarray:
+        """The value lost in each trial."""
+        return self.subset_gap[self.trial_subset]
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """The aggregate gap bound of each trial."""
+        return self.subset_bound[self.trial_subset]
 
     def summary(self) -> dict:
         """The report without its per-trial columns."""
@@ -288,8 +300,9 @@ def validate_bound(
     Trials draw in order from one ``np.random.default_rng(seed)`` stream,
     one double per draw, so a run of N trials is the first N trials of any
     longer run.  Trials are scored a block at a time, one row of estimates
-    per trial, and the value lost and its bound are computed once per
-    distinct chosen subset.
+    per trial.  The value lost and its bound are computed once per distinct
+    chosen subset of a block, and the report keeps them as its per-subset
+    columns, with each trial's row in `trial_subset`.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
@@ -305,8 +318,8 @@ def validate_bound(
     eps = spec.epsilon_scalar() if scalar else spec.epsilon_vector(n)
     if scalar and not np.isfinite(2.0 * eps):
         raise InvalidInputError("epsilon is too large: the draw range 2*epsilon overflows")
-    gaps = np.empty(trials)
-    bounds = np.empty(trials)
+    scored = []  # (gap, bound) per distinct chosen subset of each block
+    trial_subset = np.empty(trials, dtype=np.intp)
     rng = np.random.default_rng(seed)
     rows = max(1, BLOCK_CELLS // n)
     for start in range(0, trials, rows):
@@ -322,13 +335,15 @@ def validate_bound(
         keys = np.packbits(chosen, axis=1)
         keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        scored = []  # (gap, bound) per distinct chosen subset
+        trial_subset[start:stop] = len(scored) + which
         for mask in chosen[first]:
             picked = np.flatnonzero(mask).tolist()
             chosen_total = float(np.sum(true_vals[picked])) if picked else 0.0
             scored.append((best_total - chosen_total, aggregate_gap_bound(report, best, picked)))
-        gaps[start:stop], bounds[start:stop] = np.array(scored)[which].T
 
+    subset_gap, subset_bound = np.array(scored).T
+    gaps = subset_gap[trial_subset]
+    bounds = subset_bound[trial_subset]
     ratios = gaps[bounds > 0.0] / bounds[bounds > 0.0]
     return ValidationReport(
         kind=spec.kind,
@@ -338,6 +353,8 @@ def validate_bound(
         max_gap=float(np.max(gaps)),
         mean_gap=float(np.mean(gaps)),
         max_ratio=max(ratios.tolist()) if ratios.size else None,
-        gaps=gaps,
-        bounds=bounds,
+        subset_gap=subset_gap,
+        subset_bound=subset_bound,
+        subset_ratio=[gap / bound if bound > 0.0 else None for gap, bound in scored],
+        trial_subset=trial_subset,
     )

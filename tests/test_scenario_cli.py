@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from teachsel import Exponential, ErrorKind, ScenarioError, Tabulated, load_scenario
+from teachsel import cli
 from teachsel.cli import COMMANDS, build_parser, format_subset, main, parse_grid
 
 from conftest import write_scenario
@@ -503,3 +504,68 @@ def test_shared_options_parse_and_print_as_per_command_options(monkeypatch, colu
     monkeypatch.setenv("COLUMNS", columns)
     for argv in PARSE_CASES:
         assert parse_outcome(build_parser(), argv) == parse_outcome(per_command_parser(), argv)
+
+
+def main_outcome(argv: list[str]):
+    """What ``main(argv)`` returns or exits with, and prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = main(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys, two_scenario):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            run_cli(capsys, "plan-static", two_scenario)
+            run_cli(capsys, "verify", two_scenario, "--prefix-len", "1")
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_a_call_does_not_see_the_last_calls_options(self, capsys, three_scenario):
+        argv = ["misspec", three_scenario, "--kind", "truth-static", "--epsilon", "0.05"]
+        _, csv_out, _ = run_cli(capsys, *argv, "--trials", "3", "--seed", "5", "--format", "csv")
+        assert csv_out.startswith("trial,gap,bound,ratio\n")
+        code, out, _ = run_cli(capsys, *argv, "--trials", "3")
+        assert code == 0
+        assert json.loads(out)["validation"]["seed"] == 0
+        _, margins_only, _ = run_cli(capsys, *argv)
+        assert "validation" not in json.loads(margins_only)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["misspec", "--help"], ["plan-static"], ["verify", "s.json", "--format", "xml"]],
+    )
+    def test_help_and_usage_wrap_at_the_current_width(self, monkeypatch, capsys, two_scenario, argv):
+        monkeypatch.setenv("COLUMNS", "200")
+        run_cli(capsys, "plan-static", two_scenario)
+        monkeypatch.setenv("COLUMNS", "47")
+        assert main_outcome(argv) == parse_outcome(build_parser(), argv)
+
+    def test_json_errors_and_exit_codes_hold_across_calls(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{nope")
+        as_json = main_outcome(["plan-static", str(path), "--json-errors"])
+        plain = main_outcome(["plan-static", str(path)])
+        usage = main_outcome(["plan-static", str(path), "--bogus"])
+        assert as_json[0] == plain[0] == usage[0] == 2
+        doc = json.loads(as_json[2])
+        assert doc["error"] == "ScenarioError"
+        assert plain[2] == f"error: {doc['message']}\n"
+        assert usage[2].endswith("error: unrecognized arguments: --bogus\n")
+        assert main_outcome(["plan-static", str(path), "--json-errors"]) == as_json
+        assert main_outcome(["plan-static", str(path)]) == plain

@@ -17,10 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachsel import (
+    ErrorKind,
+    ErrorSpec,
+    ProblemInstance,
     discounted_baseline_loss,
     load_scenario,
     optimal_static_subset,
     optimal_stationary_sequence,
+    validate_bound,
 )
 from teachsel.cli import (
     CSV_FLOAT,
@@ -277,3 +281,80 @@ def test_nested_rows_match_json_dumps(rows, depth):
     expected_inner[keys[-1]] = records
     text = _json_with_rows(payload, ".".join(keys), table)
     assert text == json.dumps(expected, indent=2) + "\n"
+
+
+@st.composite
+def indexed_tables(draw):
+    """A table of distinct rows, one column per cell type, and an index of
+    rows to write: random, or every written row on the same row."""
+    rows = draw(
+        st.lists(
+            st.tuples(floats, st.one_of(st.none(), floats), st.integers(-5, 5), names),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    gaps, ratios, ints, labels = _columns(rows, 4)
+    table = {"gap": np.array(gaps, dtype=float), "ratio": ratios, "i": ints, "name": labels}
+    picks = st.integers(0, len(rows) - 1)
+    index = draw(
+        st.one_of(
+            st.lists(picks, max_size=30),
+            st.builds(lambda row, size: [row] * size, picks, st.integers(1, 30)),
+        )
+    )
+    return table, np.array(index, dtype=np.intp)
+
+
+def _expanded(table: dict, index: np.ndarray) -> list[dict]:
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    return [{name: column[i] for name, column in zip(table, columns)} for i in index.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed=indexed_tables(), depth=st.integers(1, 3), numbered=st.sampled_from(["trial", 'a "b",c']))
+def test_indexed_rows_match_expanded_rows(indexed, depth, numbered):
+    table, index = indexed
+    records = _expanded(table, index)
+    numbered_records = [{numbered: t, **record} for t, record in enumerate(records)]
+    assert _write_csv(table, index, numbered) == oracle_csv(numbered_records, [numbered, *table])
+    assert _write_csv(table, index) == oracle_csv(records, list(table))
+    keys = [f"level{d}" for d in range(depth - 1)] + ["per_trial"]
+    payload = inner = {"kind": "truth-static", "seed": 3}
+    expected = expected_inner = {**payload}
+    for key in keys[:-1]:
+        inner[key] = {"violations": 0}
+        expected_inner[key] = {"violations": 0}
+        inner, expected_inner = inner[key], expected_inner[key]
+    expected_inner[keys[-1]] = records
+    text = _json_with_rows(payload, ".".join(keys), table, index)
+    assert text == json.dumps(expected, indent=2) + "\n"
+
+
+def test_misspec_cli_is_within_2x_of_validate_bound(capsys, tmp_path):
+    # The trials are the work of a misspec run; parsing, loading, margins and
+    # writing 10,000 per-trial rows (22 distinct chosen subsets here) must
+    # stay under the same time again.  The two sides take turns and each
+    # keeps its best of 3.  The bound may be tightened, never loosened.
+    rng = np.random.default_rng(1202)
+    n = 8
+    a = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    h0 = a + rng.uniform(0.1, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    inst = ProblemInstance(a=a, c=0.0, h0=h0, c_bar=0.0, k=3, delta=0.9)
+    features = [{"a": float(x), "h0": float(y)} for x, y in zip(a, h0)]
+    path = write_scenario(tmp_path / "eight.json", features=features, k=3, delta=0.9)
+    spec = ErrorSpec(ErrorKind.TRUTH_STATIC, 0.5)
+    argv = ["misspec", str(path), "--kind", "truth-static", "--epsilon", "0.5", "--trials", "10000"]
+
+    def timed(fn) -> float:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    cli = math = float("inf")
+    for _ in range(3):
+        cli = min(cli, timed(lambda: main(argv)))
+        doc = json.loads(capsys.readouterr().out)
+        math = min(math, timed(lambda: validate_bound(inst, spec, trials=10_000)))
+    assert len(doc["validation"]["per_trial"]) == 10_000
+    assert cli <= 2.0 * math, f"misspec CLI {cli:.4f}s vs validate_bound {math:.4f}s"
