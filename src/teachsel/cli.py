@@ -15,6 +15,7 @@ import itertools
 import json
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,18 +36,33 @@ CSV_FLOAT = "%.15g"
 _CSV_SPECIAL = re.compile('[,"\r\n]')  # the characters csv may quote a cell for
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A table of named columns, placed anywhere in a JSON payload as the
+    list of its row objects, or written as CSV.  With an int array `index`,
+    the table holds distinct rows and the rows written are rows
+    ``index[0], index[1], ...``; None writes every row once, in order."""
+
+    table: dict
+    index: np.ndarray | None = None
+
+
 def format_subset(subset) -> str:
     """Sorted 1-based indices joined by '+': (1, 2) -> "2+3"."""
     return "+".join(str(i + 1) for i in sorted(subset))
 
 
-def _interleave(cells: list[list[str]], seps: list[str], row_end: str) -> str:
+def _interleave(cells: list[list[str]], seps: list[str], row_end: str, lead="", last=None) -> str:
     """Rows of text from columns of cells, in one join: row r is
-    ``seps[0] + cells[0][r] + seps[1] + cells[1][r] + ... + row_end``."""
+    ``seps[0] + cells[0][r] + seps[1] + cells[1][r] + ... + row_end``, after
+    `lead`.  `last`, when given, ends the last row instead of `row_end`."""
     row = [part for sep in seps for part in (sep, "")] + [row_end]
     flat = row * len(cells[0])
     for c, column in enumerate(cells):
         flat[2 * c + 1 :: len(row)] = column
+    flat[0] = lead + flat[0]
+    if last is not None:
+        flat[-1] = last
     return "".join(flat)
 
 
@@ -83,10 +99,9 @@ def _write_csv(table: dict, index=None, numbered: str | None = None) -> str:
     bool array's with ``str``.  In any other column None is an empty cell, a
     float is written as in a float array, and anything else with ``str``.
 
-    With an int array `index`, the table holds distinct rows: the rows
-    written are rows ``index[0], index[1], ...``, each distinct row's text
-    built once.  None writes every row once, in order.  With `numbered`, a
-    first column of that name counts the rows written from 0.
+    `index` picks the rows written, as in `Rows`, each distinct row's text
+    built once.  With `numbered`, a first column of that name counts the
+    rows written from 0.
     """
     lead = [] if numbered is None else [numbered]
     names = _csv_quoted([*lead, *table])
@@ -110,22 +125,14 @@ def _write_csv(table: dict, index=None, numbered: str | None = None) -> str:
     return _interleave(columns, ["", *[","] * (len(columns) - 1)], "\n")
 
 
-def _records(table: dict) -> list[dict]:
-    """The table's rows as JSON-ready dicts."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
-    return [dict(zip(table, row)) for row in zip(*columns)]
-
-
 def _json_cells(column) -> list[str]:
-    """JSON text of each cell, as ``json.dumps`` writes it."""
+    """JSON text of each cell of a non-empty column, as ``json.dumps`` writes it."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "b":
             return np.where(column, "true", "false").tolist()
         if column.dtype.kind in "iu":
             return list(map(str, column.tolist()))
         column = column.tolist()
-    if not column:
-        return []
     if isinstance(column[0], str):
         return list(map(json.encoder.encode_basestring_ascii, column))
     # Numbers, booleans and null never contain ", ", so the list's items
@@ -133,63 +140,54 @@ def _json_cells(column) -> list[str]:
     return json.dumps(column)[1:-1].split(", ")
 
 
-def _json_with_rows(payload: dict, key: str, table: dict, index=None) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"`` with the table's rows
-    (``_records(table)``) added under `key`, interleaved from the table's
-    columns.
-
-    A dotted `key` nests the rows: with ``"validation.per_trial"`` they go
-    last in ``payload["validation"]``, which must be the payload's last key.
-    String columns are lists of str.  An empty table gives ``[]``; every
-    dict on the path but the payload itself must not be empty.  With an int
-    array `index`, the table holds distinct rows and the rows written are
-    rows ``index[0], index[1], ...``, each distinct row's text built once;
-    None writes every row once, in order.
-    """
-    *parents, name = key.split(".")
-    head = json.dumps(payload, indent=2)
-    # The closing braces of the dicts on the path, innermost first.
-    closing = "".join(
-        "\n" + "  " * level + "}" for level in reversed(range(len(parents) + 1))
-    )
-    pad = "  " * (len(parents) + 1)
-    keys = [f"\n{pad}    {json.encoder.encode_basestring_ascii(c)}: " for c in table]
+def _json_rows(rows: Rows, pad: str) -> str:
+    """The list of the rows' records, as ``json.dumps(indent=2)`` writes it at indent `pad`."""
+    written = rows.index if rows.index is not None else next(iter(rows.table.values()), [])
+    if len(written) == 0:
+        return "[]"
+    cells = list(map(_json_cells, rows.table.values()))
+    keys = [f"\n{pad}    {json.encoder.encode_basestring_ascii(name)}: " for name in rows.table]
     seps = [f"{pad}  {{{keys[0]}", *(f",{key}" for key in keys[1:])]
-    cells = list(map(_json_cells, table.values()))
-    if index is not None:
-        cells, seps = [_picked(cells, seps, index)], [""]
-    rows = _interleave(cells, seps, f"\n{pad}  }},\n")
-    del cells  # freed before the copies below
-    rows = rows[:-2]  # the last row drops its ",\n"
-    lead = f"{head[: -len(closing)]}," if payload else "{"
-    return "".join(
-        (
-            f"{lead}\n{pad}{json.encoder.encode_basestring_ascii(name)}: ",
-            *(("[\n", rows, f"\n{pad}]") if rows else ("[]",)),
-            f"{closing}\n",
-        )
-    )
+    if rows.index is not None:
+        cells, seps = [_picked(cells, seps, rows.index)], [""]
+    # One join per table; its cells are freed before the payload's join.
+    return _interleave(cells, seps, f"\n{pad}  }},\n", "[\n", f"\n{pad}  }}\n{pad}]")
 
 
-def _emit(
-    args, table: dict, payload: dict, rows_key: str | None = None, index=None, numbered=None
-) -> None:
-    """Write `table` as CSV, or `payload` as indented JSON.
+def _json_chunks(value, pad: str):
+    """The JSON text of `value` in pieces, as ``json.dumps(value, indent=2)``
+    writes it on a line indented by `pad`, each `Rows` at a key of `value`'s
+    nested dicts written as the list of its records."""
+    if isinstance(value, Rows):
+        yield _json_rows(value, pad)
+    elif isinstance(value, dict) and value:
+        for n, (key, item) in enumerate(value.items()):
+            yield ("," if n else "{") + f"\n{pad}  {json.encoder.encode_basestring_ascii(key)}: "
+            yield from _json_chunks(item, pad + "  ")
+        yield f"\n{pad}}}"
+    else:  # holds no rows: json.dumps raises on a Rows in a list
+        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
-    With `rows_key`, the JSON gets the rows of `table` as one more key, last.
-    `index` picks the rows written, as in ``_write_csv`` and
-    ``_json_with_rows``; `numbered` names a CSV column of row numbers.
-    """
+
+def _json(payload) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"``, each `Rows` written as its records."""
+    return "".join([*_json_chunks(payload, ""), "\n"])
+
+
+def _emit(args, payload, csv_rows: Rows, numbered: str | None = None) -> None:
+    """Write `payload` as indented JSON, or `csv_rows` as CSV, to stdout or
+    to ``--out``; `numbered` names a first CSV column of row numbers."""
     if args.format == "csv":
-        text = _write_csv(table, index, numbered)
-    elif rows_key is None:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _write_csv(csv_rows.table, csv_rows.index, numbered)
     else:
-        text = _json_with_rows(payload, rows_key, table, index)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+        text = _json(payload)
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(args.out).write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def _emit_plan(args, scenario: Scenario, plan, **totals) -> int:
@@ -210,8 +208,9 @@ def _emit_plan(args, scenario: Scenario, plan, **totals) -> int:
         "names": [scenario.names[i] for i in plan.subset],
         **totals,
         "degenerate": plan.degenerate,
+        "reports": Rows(table),
     }
-    _emit(args, table, payload, "reports")
+    _emit(args, payload, payload["reports"])
     return 0
 
 
@@ -228,7 +227,8 @@ def cmd_eval_static(scenario: Scenario, args) -> int:
         "subset": [format_subset(s) for s in subsets],
         "mse": np.array([mse(instance, s) for s in subsets]),
     }
-    _emit(args, table, {}, "rows")
+    rows = Rows(table)
+    _emit(args, {"rows": rows}, rows)
     return 0
 
 
@@ -255,7 +255,8 @@ def cmd_switch_points(scenario: Scenario, args) -> int:
         "kind": points.kind,
         "threshold": [None if t != t else t for t in points.threshold.tolist()],
     }
-    _emit(args, table, {}, "points")
+    rows = Rows(table)
+    _emit(args, {"points": rows}, rows)
     return 0
 
 
@@ -269,13 +270,14 @@ def cmd_sweep_delta(scenario: Scenario, args) -> int:
         "informativeness": result.informativeness,
         "loss": result.loss,
     }
-    _emit(args, table, {}, "rows")
+    rows = Rows(table)
+    _emit(args, {"rows": rows}, rows)
     return 0
 
 
 def cmd_sweep_heatmap(scenario: Scenario, args) -> int:
     deltas = parse_grid(args.grid)
-    ws = parse_grid(args.w_grid if args.w_grid else args.grid)
+    ws = parse_grid(args.w_grid, "--w-grid") if args.w_grid else deltas
     result = tradeoff.sweep_w_delta_loss_ratio(scenario.instance, ws, deltas)
     table = {
         "w": np.repeat(result.w_grid, result.delta_grid.size),
@@ -289,19 +291,20 @@ def cmd_sweep_heatmap(scenario: Scenario, args) -> int:
         "delta_grid": result.delta_grid.tolist(),
         "ratios": result.ratios.tolist(),
     }
-    _emit(args, table, payload)
+    _emit(args, payload, Rows(table))
     return 0
 
 
 def cmd_enumerate_subsets(scenario: Scenario, args) -> int:
     intervals = tradeoff.enumerate_optimal_subsets(scenario.instance, scenario.dynamic)
     table = {
-        "delta_lo": np.array([iv.lo for iv in intervals]),
-        "delta_hi": np.array([iv.hi for iv in intervals]),
-        "subset": [format_subset(iv.subset) for iv in intervals],
-        "informativeness": np.array([iv.informativeness for iv in intervals]),
+        "delta_lo": intervals.lo,
+        "delta_hi": intervals.hi,
+        "subset": list(map(format_subset, intervals.subsets)),
+        "informativeness": intervals.informativeness,
     }
-    _emit(args, table, {}, "intervals")
+    rows = Rows(table)
+    _emit(args, {"intervals": rows}, rows)
     return 0
 
 
@@ -315,20 +318,20 @@ def cmd_verify(scenario: Scenario, args) -> int:
         sys.stderr.write(f"verification failed: {exc}\n")
         return 1
     stationary = optimal_stationary_sequence(instance, scenario.dynamic).total_value
-    table = {
-        "prefix_length": [args.prefix_len],
-        "tol": np.array([args.tol]),
-        "best_value": np.array([best_value]),
-        "stationary_value": np.array([stationary]),
-        "gap": np.array([best_value - stationary]),
-        "passed": [True],
+    row = {
+        "prefix_length": args.prefix_len,
+        "tol": args.tol,
+        "best_value": best_value,
+        "stationary_value": stationary,
+        "gap": best_value - stationary,
+        "passed": True,
     }
     payload = {
-        **_records(table)[0],
+        **row,
         "best_prefix": [format_subset(s) for s in best_seq.prefix],
         "best_tail": format_subset(best_seq.tail),
     }
-    _emit(args, table, payload)
+    _emit(args, payload, Rows({name: [value] for name, value in row.items()}))
     return 0
 
 
@@ -352,9 +355,9 @@ def cmd_misspec(scenario: Scenario, args) -> int:
         "lower_margin": report.lower_margin,
         "upper_margin": report.upper_margin,
     }
-    payload = {"kind": kind.value, "epsilon": spec.epsilon, "margins": _records(table)}
+    payload = {"kind": kind.value, "epsilon": spec.epsilon, "margins": Rows(table)}
     if not args.trials:
-        _emit(args, table, payload)
+        _emit(args, payload, payload["margins"])
         return 0
     validation = robustness.validate_bound(
         scenario.instance,
@@ -363,15 +366,16 @@ def cmd_misspec(scenario: Scenario, args) -> int:
         seed=args.seed,
         dynamic=scenario.dynamic,
     )
-    payload["validation"] = validation.summary()
+    # One row per trial, written from its subset's row; JSON rows are in
+    # trial order, CSV rows name their trial.
     subsets = {
         "gap": validation.subset_gap,
         "bound": validation.subset_bound,
         "ratio": validation.subset_ratio,
     }
-    # One row per trial, written from its subset's row; JSON rows are in
-    # trial order, CSV rows name their trial.
-    _emit(args, subsets, payload, "validation.per_trial", validation.trial_subset, "trial")
+    per_trial = Rows(subsets, validation.trial_subset)
+    payload["validation"] = {**validation.summary(), "per_trial": per_trial}
+    _emit(args, payload, per_trial, "trial")
     if validation.violations:
         sys.stderr.write(
             f"bound violated in {validation.violations} of "
@@ -394,8 +398,8 @@ COMMANDS = {
 }
 
 
-def parse_grid(text: str) -> np.ndarray:
-    """Grid syntax: "N" (N cell midpoints in (0,1)), "lo:hi:N", or "a,b,c"."""
+def parse_grid(text: str, option: str = "--grid") -> np.ndarray:
+    """The grid of flag `option`: "N" (N cell midpoints in (0,1)), "lo:hi:N", or "a,b,c"."""
     text = text.strip()
     try:
         if ":" in text:
@@ -410,7 +414,7 @@ def parse_grid(text: str) -> np.ndarray:
             return np.array([float(p) for p in text.split(",") if p.strip() != ""])
         count = int(text)
     except ValueError as exc:
-        raise InvalidInputError(f"--grid: {exc}") from exc
+        raise InvalidInputError(f"{option}: {exc}") from exc
     if count < 1:
         raise InvalidInputError("grid count must be >= 1")
     return (np.arange(count) + 0.5) / count
@@ -434,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json-errors", action="store_true", help="report errors as JSON on stderr"
     )
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-9)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, blurb) in COMMANDS.items():
         p = sub.add_parser(name, help=blurb, description=blurb, parents=[common])
@@ -445,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--w-grid", default=None, help="grid for the retention axis")
         if name == "verify":
             p.add_argument("--prefix-len", type=int, default=3)
+            p.add_argument("--tol", type=float, default=1e-9)
         if name == "misspec":
             kinds = [k.value for k in robustness.ErrorKind]
             p.add_argument("--kind", required=True, choices=kinds)
@@ -454,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="error bound: one number or a comma list per feature",
             )
             p.add_argument("--trials", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -86,6 +86,8 @@ class Tabulated:
             raise InvalidInputError("table must contain at least phi(0)")
         if vals[0] != 1.0:
             raise InvalidInputError("phi(0) must equal 1 exactly")
+        if any(v != v for v in vals):
+            raise InvalidInputError("weights must not be NaN")
         if any(b > a for a, b in zip(vals, vals[1:])):
             raise InvalidInputError("table must be nonincreasing")
         if vals[-1] < 0.0:

@@ -110,17 +110,13 @@ def sequence_loss(
     instance: ProblemInstance,
     dynamic: LearningDynamic,
     sequence: SelectionSequence,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Total discounted prediction loss of following `sequence` forever.
 
     The prefix is summed term by term from the simulated trajectory; the
     stationary tail is evaluated in closed form with each feature's
-    observation count carried in as an offset.  `tol` bounds the tail
-    evaluation error; the geometric closed forms used here are exact, so it
-    only matters for the truncated fallback paths.
+    observation count carried in as an offset.
     """
-    _check_tol(tol)
     seq = sequence.validated(instance)
     delta = instance.delta
     T = len(seq.prefix)
@@ -148,7 +144,6 @@ def sequence_value(
     instance: ProblemInstance,
     dynamic: LearningDynamic,
     sequence: SelectionSequence,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Discounted improvement of `sequence` over never revealing anything.
 
@@ -156,7 +151,6 @@ def sequence_value(
     ``sum_t delta^t sum_{i in A_t} (a_i^2 - phi(m_i(t)) * (a_i - h0_i)^2)``,
     independently of `sequence_loss`.
     """
-    _check_tol(tol)
     seq = sequence.validated(instance)
     delta = instance.delta
     info = instance.informativeness

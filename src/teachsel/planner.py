@@ -65,9 +65,10 @@ def _near_ties(values: np.ndarray, order: np.ndarray) -> bool:
 
 
 def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
-    """Row by row, the mask of `select_top_k`'s features.
+    """Row by row, the mask of the up-to-`k` features with the largest
+    strictly positive values, ties toward the lower index.
 
-    For a 2-d `values` with many rows, such as one row per sampled estimate.
+    `values` is one row, or many, such as one row per sampled estimate.
     Each row is partitioned at its k-th largest value rather than sorted:
     entries above it are kept, and entries equal to it fill the remaining
     places lowest index first, as the stable descending order takes them.
@@ -87,28 +88,24 @@ def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     return mask & (values > 0.0)
 
 
-def select_top_k(values: np.ndarray, k: int, order: np.ndarray | None = None):
+def select_top_k(values: np.ndarray, k: int):
     """Up to `k` features with the largest strictly positive values, sorted.
 
-    Ties break toward the lower index: `order` is the stable argsort of
-    ``-values`` (computed when not given; 1-d only).  A 2-d `values` holds
-    one row per patience level and gives a list with one subset per row.
+    Ties break toward the lower index.  A 2-d `values` holds one row per
+    patience level and gives a list with one subset per row.
     """
+    mask = top_k_mask(values, k)
     if values.ndim == 2:
-        return [tuple(np.flatnonzero(row).tolist()) for row in top_k_mask(values, k)]
-    if order is None:
-        order = np.argsort(-values, kind="stable")
-    return tuple(sorted(order[values[order] > 0.0][:k].tolist()))
+        return [tuple(np.flatnonzero(row).tolist()) for row in mask]
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 def _columns(values: np.ndarray, k: int) -> dict:
     """The plan fields shared by both planners, from per-feature values."""
-    order = np.argsort(-values, kind="stable")
-    subset = select_top_k(values, k, order)
-    selected = np.zeros(values.size, dtype=bool)
-    selected[list(subset)] = True
+    order = np.argsort(-values, kind="stable")  # the report's row order
+    selected = top_k_mask(values, k)
     return {
-        "subset": subset,
+        "subset": tuple(np.flatnonzero(selected).tolist()),
         "order": order,
         "values": values,
         "selected": selected,

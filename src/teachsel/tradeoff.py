@@ -269,12 +269,21 @@ def sweep_delta(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsetInterval:
-    lo: float
-    hi: float
-    subset: FeatureSubset
-    informativeness: float
+@dataclass(frozen=True, eq=False)
+class IntervalTable:
+    """Maximal patience intervals with a constant optimum, one row each by
+    increasing patience; ``len()`` counts them.  Row r spans (``lo[r]``,
+    ``hi[r]``) and the rows tile (0, 1).  ``subsets[r]`` is the optimal
+    subset there (sorted 0-based indices), never its neighbours', and
+    ``informativeness[r]`` its ``sum a_i^2``."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    subsets: list[FeatureSubset]
+    informativeness: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lo.size
 
 
 def _top_k_masks(
@@ -296,7 +305,7 @@ def _top_k_masks(
 
 def _assemble_intervals(
     instance: ProblemInstance, dynamic: LearningDynamic, boundaries: np.ndarray
-) -> list[SubsetInterval]:
+) -> IntervalTable:
     """Probe each interval between sorted boundaries at its midpoint, and
     merge neighbours with equal subsets.
 
@@ -314,19 +323,14 @@ def _assemble_intervals(
     masks = _top_k_masks(instance, dynamic, mids)
     changes = (masks[1:] != masks[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate(([True], changes)))
-    ends = np.append(starts[1:], lo.size) - 1
-    intervals = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        subset = tuple(np.flatnonzero(masks[start]).tolist())
-        intervals.append(
-            SubsetInterval(
-                float(lo[start]),
-                float(hi[end]),
-                subset,
-                subset_informativeness(instance, subset),
-            )
-        )
-    return intervals
+    subsets = [tuple(np.flatnonzero(row).tolist()) for row in masks[starts]]
+    info = instance.informativeness
+    return IntervalTable(
+        lo=lo[starts],
+        hi=hi[np.append(starts[1:], lo.size) - 1],
+        subsets=subsets,
+        informativeness=np.array([np.sum(info[list(s)]) for s in subsets]),
+    )
 
 
 def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -339,9 +343,9 @@ def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def enumerate_optimal_subsets(
-    instance: ProblemInstance, w_or_dynamic: float | LearningDynamic
-) -> list[SubsetInterval]:
-    """Partition (0,1) into maximal patience intervals with a constant optimum.
+    instance: ProblemInstance, dynamic: LearningDynamic
+) -> IntervalTable:
+    """The maximal patience intervals in (0,1) with a constant optimum, as columns.
 
     The optimum can change only where two features' stationary values cross
     (the pair thresholds of `all_switch_points`) or where one feature's
@@ -350,12 +354,8 @@ def enumerate_optimal_subsets(
     Every such boundary comes from `inverse_weight_cdf`, and one blocked
     probe inside each interval between them labels it, so the partition is
     exact up to the inverse's precision (exact under geometric learning,
-    `BISECT_TOL` otherwise).  A number stands for ``Exponential(w)``.
+    `BISECT_TOL` otherwise).
     """
-    if isinstance(w_or_dynamic, (int, float)):
-        dynamic: LearningDynamic = Exponential(float(w_or_dynamic))
-    else:
-        dynamic = w_or_dynamic
     if not dynamic.converges():
         raise InvalidInputError("dynamic never converges; values have no limit")
     _, _, delta_info, delta_div = _pair_columns(instance)

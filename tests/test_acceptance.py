@@ -393,8 +393,8 @@ def test_patience_analysis_speed():
         elapsed = min(elapsed, time.perf_counter() - start)
     for table, intervals in results:
         assert table.i.size == n * (n - 1) // 2
-        assert intervals[0].lo == 0.0 and intervals[-1].hi == 1.0
-        assert len(intervals[-1].subset) == inst.k
+        assert intervals.lo[0] == 0.0 and intervals.hi[-1] == 1.0
+        assert len(intervals.subsets[-1]) == inst.k
     assert elapsed < 0.5, f"patience analysis took {elapsed:.3f}s, over 0.5s"
 
 

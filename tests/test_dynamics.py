@@ -66,6 +66,17 @@ class TestPhi:
         with pytest.raises(InvalidInputError):
             Tabulated((1.0, 0.5), tail_w=1.0)
 
+    def test_nan_weights_are_rejected(self):
+        # Every comparison with nan is false, so no ordering check sees it.
+        for values in [(1.0, np.nan, 0.2), (1.0, 0.5, np.nan)]:
+            with pytest.raises(InvalidInputError, match="weights must not be NaN"):
+                Tabulated(values)
+        # Tables that are bad for another reason keep their own message.
+        with pytest.raises(InvalidInputError, match="phi\\(0\\) must equal 1 exactly"):
+            Tabulated((np.nan, 0.5))
+        with pytest.raises(InvalidInputError, match="tail_w=nan outside"):
+            Tabulated((1.0, 0.5), tail_w=np.nan)
+
 
 class TestDiscountedPhiSum:
     def test_exponential_closed_form_value(self):

@@ -245,25 +245,35 @@ def argsort_top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
+@st.composite
+def rows_and_budgets(draw):
+    """One row of values or many, and a budget that is often 0 or n."""
+    n = draw(st.integers(1, 7))
+    edges = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan])
+    one_row = st.lists(edges, min_size=n, max_size=n)
+    many_rows = st.lists(
+        st.lists(
+            st.one_of(st.sampled_from([-0.0, 0.0, 0.5, np.nan]), st.floats()),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+    values = draw(st.one_of(one_row, many_rows))
+    k = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n + 2)))
+    return np.array(values), k
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    values=st.integers(1, 7).flatmap(
-        lambda n: st.one_of(
-            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan]), min_size=n, max_size=n),
-            st.lists(
-                st.lists(
-                    st.one_of(st.sampled_from([-0.0, 0.0, 0.5, np.nan]), st.floats()),
-                    min_size=n,
-                    max_size=n,
-                ),
-                min_size=1,
-                max_size=6,
-            ),
-        )
-    ),
-    k=st.integers(0, 9),
-)
-def test_partitioned_mask_matches_stable_argsort(values, k):
-    """Ties, signed zeros, nan and k = 0 or k >= n, in one row or in many."""
-    values = np.array(values)
-    np.testing.assert_array_equal(top_k_mask(values, k), argsort_top_k_mask(values, k))
+@given(case=rows_and_budgets())
+def test_partitioned_mask_matches_stable_argsort(case):
+    """Ties, signed zeros, nan and k = 0 or k >= n, in one row or in many,
+    for the mask and for the subsets `select_top_k` reads from it."""
+    values, k = case
+    expected = argsort_top_k_mask(values, k)
+    np.testing.assert_array_equal(top_k_mask(values, k), expected)
+    if values.ndim == 1:
+        assert select_top_k(values, k) == tuple(np.flatnonzero(expected).tolist())
+    else:
+        assert select_top_k(values, k) == [tuple(np.flatnonzero(row).tolist()) for row in expected]

@@ -404,6 +404,38 @@ class TestCliCommands:
         code, out, err = run_cli(capsys, "plan-stationary", path)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["plan-stationary", "enumerate-subsets"])
+    def test_nan_table_weight_exits_2(self, capsys, tmp_path, command):
+        # Python's json reads NaN; every weight it touches would become nan.
+        path = write_scenario(
+            tmp_path / "s.json",
+            features=[{"a": 0.5, "h0": 0.1}, {"a": 0.3, "h0": 0.9}],
+            dynamic={"type": "tabulated", "params": {"values": [1.0, float("nan"), 0.2]}},
+        )
+        assert "NaN" in path.read_text()
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out, err) == (2, "", "error: dynamic: weights must not be NaN\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_exits_2(self, capsys, three_scenario, tmp_path, fmt, target):
+        out_path = tmp_path / target
+        reason = "Is a directory" if out_path.is_dir() else "No such file or directory"
+        argv = ["plan-static", three_scenario, "--format", fmt, "--out", out_path]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: cannot write {out_path}: {reason}\n")
+        code, out, err = run_cli(capsys, *argv, "--json-errors")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "InvalidInputError",
+            "message": f"cannot write {out_path}: {reason}",
+        }
+
+    def test_bad_w_grid_is_named(self, capsys, two_scenario):
+        code, out, err = run_cli(capsys, "sweep-heatmap", two_scenario, "--w-grid", "3.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --w-grid: ")
+
     def test_json_errors_flag(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -437,7 +469,8 @@ class TestCliCommands:
 
 def per_command_parser() -> argparse.ArgumentParser:
     """The parser with every option added to each subcommand's own parser,
-    as it was built before the common options moved to one shared parent."""
+    as it was built before the common options moved to one shared parent,
+    with `--seed` on misspec only and `--tol` on verify only."""
     parser = argparse.ArgumentParser(
         prog="teachsel",
         description="Plan feature selections for a learning human predictor.",
@@ -456,14 +489,13 @@ def per_command_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--json-errors", action="store_true", help="report errors as JSON on stderr"
         )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
         if name in ("sweep-delta", "sweep-heatmap"):
             p.add_argument("--grid", default="100", help='"N", "lo:hi:N", or "a,b,c"')
         if name == "sweep-heatmap":
             p.add_argument("--w-grid", default=None, help="grid for the retention axis")
         if name == "verify":
             p.add_argument("--prefix-len", type=int, default=3)
+            p.add_argument("--tol", type=float, default=1e-9)
         if name == "misspec":
             p.add_argument("--kind", required=True, choices=[k.value for k in ErrorKind])
             p.add_argument(
@@ -472,6 +504,7 @@ def per_command_parser() -> argparse.ArgumentParser:
                 help="error bound: one number or a comma list per feature",
             )
             p.add_argument("--trials", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -495,6 +528,29 @@ for _name in COMMANDS:
         [_name, "s.json", "--seed", "zz", "--tol", "1e-3"],
         [_name, "s.json", "--bogus"],
     ]
+
+
+@pytest.mark.parametrize("option", ["--seed", "--tol"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_seed_and_tol_belong_to_their_own_commands(command, option):
+    """Only misspec reads --seed and only verify reads --tol; elsewhere
+    either one is a usage error."""
+    owner = {"--seed": "misspec", "--tol": "verify"}[option]
+    argv = [command, "s.json", option, "1"]
+    if command == "misspec":
+        argv += ["--kind", "truth-static", "--epsilon", "0.1"]
+    result, out, err = parse_outcome(build_parser(), argv)
+    if command == owner:
+        assert result[option[2:]] == 1
+    else:
+        assert (result, out) == (2, "")
+        assert f"unrecognized arguments: {option} 1" in err
+
+
+def test_plan_static_seed_is_a_usage_error():
+    result, out, err = main_outcome(["plan-static", "s.json", "--seed", "1"])
+    assert (result, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --seed 1\n")
 
 
 @pytest.mark.parametrize("columns", ["80", "47", "200"])

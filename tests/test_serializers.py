@@ -2,7 +2,7 @@
 
 The oracle is what the CLI once did row by row: ``csv.writer`` with every
 float cell formatted as ``f"{v:.15g}"``, and ``json.dumps(payload, indent=2)``
-over one dict per report row.
+over one dict per report row, wherever the payload places its rows.
 """
 
 import csv
@@ -28,8 +28,9 @@ from teachsel import (
 )
 from teachsel.cli import (
     CSV_FLOAT,
+    Rows,
     _csv_quoted,
-    _json_with_rows,
+    _json,
     _write_csv,
     format_subset,
     main,
@@ -179,7 +180,7 @@ def test_columnar_writers_match_oracle_on_random_tables(rows):
     assert _write_csv(table) == oracle_csv(records, list(table))
     payload = {"subset": "1+2", "degenerate": False}
     expected = json.dumps({**payload, "reports": records}, indent=2) + "\n"
-    assert _json_with_rows(payload, "reports", table) == expected
+    assert _json({**payload, "reports": Rows(table)}) == expected
 
 
 # The list and tuple columns the CLI sends: float lists with None for a
@@ -226,7 +227,7 @@ def test_header_only_table():
     table = {"gap": np.array([]), "name": [], "ratio": []}
     assert _write_csv(table) == "gap,name,ratio\n"
     expected = json.dumps({"kind": "x", "rows": []}, indent=2) + "\n"
-    assert _json_with_rows({"kind": "x"}, "rows", table) == expected
+    assert _json({"kind": "x", "rows": Rows(table)}) == expected
 
 
 def test_csv_writer_is_within_1_8x_of_float_formatting():
@@ -278,9 +279,9 @@ def test_nested_rows_match_json_dumps(rows, depth):
         inner[key] = {"violations": 0}
         expected_inner[key] = {"violations": 0}
         inner, expected_inner = inner[key], expected_inner[key]
+    inner[keys[-1]] = Rows(table)
     expected_inner[keys[-1]] = records
-    text = _json_with_rows(payload, ".".join(keys), table)
-    assert text == json.dumps(expected, indent=2) + "\n"
+    assert _json(payload) == json.dumps(expected, indent=2) + "\n"
 
 
 @st.composite
@@ -306,9 +307,10 @@ def indexed_tables(draw):
     return table, np.array(index, dtype=np.intp)
 
 
-def _expanded(table: dict, index: np.ndarray) -> list[dict]:
+def _expanded(table: dict, index: np.ndarray | None = None) -> list[dict]:
     columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
-    return [{name: column[i] for name, column in zip(table, columns)} for i in index.tolist()]
+    rows = range(len(columns[0]) if columns else 0) if index is None else index.tolist()
+    return [{name: column[i] for name, column in zip(table, columns)} for i in rows]
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,9 +328,117 @@ def test_indexed_rows_match_expanded_rows(indexed, depth, numbered):
         inner[key] = {"violations": 0}
         expected_inner[key] = {"violations": 0}
         inner, expected_inner = inner[key], expected_inner[key]
+    inner[keys[-1]] = Rows(table, index)
     expected_inner[keys[-1]] = records
-    text = _json_with_rows(payload, ".".join(keys), table, index)
-    assert text == json.dumps(expected, indent=2) + "\n"
+    assert _json(payload) == json.dumps(expected, indent=2) + "\n"
+
+
+# Keys json must escape, and leaves at the edges of float formatting.
+KEYS = st.one_of(
+    st.text(max_size=8), st.sampled_from(["naïve", "中文", "ключ", "\u2028", 'q"', ""])
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    floats,
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+    names,
+)
+
+
+@st.composite
+def plain_tables(draw):
+    """A table written whole: empty, or one column per cell type."""
+    rows = draw(st.lists(st.tuples(floats, st.integers(-5, 5), st.booleans(), names), max_size=5))
+    gaps, ints, flags, labels = _columns(rows, 4)
+    return draw(
+        st.sampled_from(
+            [
+                {},
+                {"gap": np.array(gaps, dtype=float), "i": np.array(ints, dtype=int)},
+                {"flag": np.array(flags, dtype=bool), "name": labels, "k": ints},
+            ]
+        )
+    )
+
+
+ROWS = st.one_of(
+    st.builds(Rows, plain_tables()), indexed_tables().map(lambda pair: Rows(*pair))
+)
+PLAIN = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(KEYS, children, max_size=4)
+    ),
+    max_leaves=8,
+)
+# Rows sit at the keys of nested dicts; lists hold plain JSON.
+TREES = st.recursive(
+    st.one_of(PLAIN, ROWS),
+    lambda children: st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=8,
+)
+
+
+def expand(value):
+    """`value` with each `Rows` replaced by the list of its records."""
+    if isinstance(value, Rows):
+        return _expanded(value.table, value.index)
+    if isinstance(value, dict):
+        return {key: expand(item) for key, item in value.items()}
+    return value
+
+
+@st.composite
+def payloads(draw):
+    """A random dict tree with two or three `Rows` planted in it, each in a
+    random dict on a random path and at a random place among its keys."""
+    payload = draw(st.dictionaries(KEYS, TREES, max_size=5))
+    for _ in range(draw(st.integers(2, 3))):
+        node = payload
+        while draw(st.booleans()):
+            children = [item for item in node.values() if isinstance(item, dict)]
+            if not children:
+                break
+            node = draw(st.sampled_from(children))
+        items = list(node.items())
+        items.insert(draw(st.integers(0, len(items))), (draw(KEYS), draw(ROWS)))
+        node.clear()
+        node.update(items)  # a repeated key keeps its first place
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=payloads())
+def test_rows_anywhere_match_json_dumps(payload):
+    assert _json(payload) == json.dumps(expand(payload), indent=2) + "\n"
+
+
+def test_two_rows_around_sibling_keys():
+    margins = {"feature": [1, 2], "name": ("a", "ü"), "lower": np.array([0.5, -0.0])}
+    trials = {"gap": np.array([np.nan, np.inf]), "ratio": [None, -np.inf]}
+    index = np.array([1, 1, 0], dtype=np.intp)
+    payload = {
+        "kind": "x",
+        "margins": Rows(margins),
+        "validation": {"seed": 3, "per_trial": Rows(trials, index), "after": [], "empty": {}},
+        "tail": Rows({}),
+    }
+    expected = {
+        "kind": "x",
+        "margins": _expanded(margins),
+        "validation": {
+            "seed": 3, "per_trial": _expanded(trials, index), "after": [], "empty": {}
+        },
+        "tail": [],
+    }
+    assert _json(payload) == json.dumps(expected, indent=2) + "\n"
+
+
+def test_rows_in_a_list_are_refused():
+    with pytest.raises(TypeError, match="Rows is not JSON serializable"):
+        _json({"kind": "x", "tables": [Rows({"gap": np.array([0.5])})]})
 
 
 def test_misspec_cli_is_within_2x_of_validate_bound(capsys, tmp_path):

@@ -170,28 +170,27 @@ class TestSweepDelta:
 
 class TestEnumerateOptimalSubsets:
     def test_two_feature_demo_partition(self, two_feature_instance):
-        intervals = enumerate_optimal_subsets(two_feature_instance, 0.0)
-        assert [iv.subset for iv in intervals] == [(1,), (0,)]
-        assert intervals[0].lo == 0.0
-        assert intervals[-1].hi == 1.0
-        assert intervals[0].hi == pytest.approx(TWO_FEATURE_THRESHOLD_W0, abs=1e-9)
+        intervals = enumerate_optimal_subsets(two_feature_instance, Exponential(0.0))
+        assert intervals.subsets == [(1,), (0,)]
+        assert intervals.lo[0] == 0.0
+        assert intervals.hi[-1] == 1.0
+        assert intervals.hi[0] == pytest.approx(TWO_FEATURE_THRESHOLD_W0, abs=1e-9)
 
     def test_single_feature_at_most_two_intervals(self):
         inst = ProblemInstance(
             a=[0.5], c=0.0, h0=[1.8], c_bar=0.0, k=1, delta=0.5
         )
-        intervals = enumerate_optimal_subsets(inst, 0.2)
+        intervals = enumerate_optimal_subsets(inst, Exponential(0.2))
         assert len(intervals) <= 2
-        assert intervals[-1].subset == (0,)
-        assert intervals[0].subset == ()
+        assert intervals.subsets[-1] == (0,)
+        assert intervals.subsets[0] == ()
 
     def test_high_patience_end_is_most_informative(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             inst = random_instance(rng, n=int(rng.integers(2, 6)))
             w = float(rng.uniform(0, 0.9))
-            intervals = enumerate_optimal_subsets(inst, w)
-            last = intervals[-1].subset
+            last = enumerate_optimal_subsets(inst, Exponential(w)).subsets[-1]
             ranked = sorted(
                 range(inst.n), key=lambda i: (-inst.informativeness[i], i)
             )
@@ -202,13 +201,13 @@ class TestEnumerateOptimalSubsets:
         rng = np.random.default_rng(8)
         for _ in range(30):
             inst = random_instance(rng)
-            intervals = enumerate_optimal_subsets(inst, float(rng.uniform(0, 0.9)))
+            intervals = enumerate_optimal_subsets(inst, Exponential(rng.uniform(0, 0.9)))
             assert len(intervals) <= inst.n * (inst.n - 1) // 2 + inst.k + 1
-            assert intervals[0].lo == 0.0
-            assert intervals[-1].hi == 1.0
-            for left, right in zip(intervals, intervals[1:]):
-                assert left.hi == right.lo
-                assert left.subset != right.subset
+            assert intervals.lo[0] == 0.0
+            assert intervals.hi[-1] == 1.0
+            np.testing.assert_array_equal(intervals.hi[:-1], intervals.lo[1:])
+            subsets = intervals.subsets
+            assert all(left != right for left, right in zip(subsets, subsets[1:]))
 
     def test_tabulated_copy_matches_geometric(self, two_feature_instance):
         """A tabulated copy of geometric learning, bisected, must find the
@@ -217,12 +216,11 @@ class TestEnumerateOptimalSubsets:
         tab = Tabulated(
             tuple(w ** (2 * m) for m in range(8)), tail_w=w
         )
-        exact = enumerate_optimal_subsets(two_feature_instance, w)
+        exact = enumerate_optimal_subsets(two_feature_instance, Exponential(w))
         bisected = enumerate_optimal_subsets(two_feature_instance, tab)
-        assert [iv.subset for iv in exact] == [iv.subset for iv in bisected]
-        for a, b in zip(exact, bisected):
-            assert b.lo == pytest.approx(a.lo, abs=1e-9)
-            assert b.hi == pytest.approx(a.hi, abs=1e-9)
+        assert exact.subsets == bisected.subsets
+        np.testing.assert_allclose(bisected.lo, exact.lo, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bisected.hi, exact.hi, rtol=0, atol=1e-9)
 
     def test_a_value_that_vanishes_at_zero_patience_still_labels_its_interval(self):
         # h0 = 0 makes info == div, so the value info*delta*(1 - w^2) /
@@ -232,7 +230,7 @@ class TestEnumerateOptimalSubsets:
         dyn = Exponential(1.0 - 1e-9)
         assert optimal_stationary_sequence(inst, dyn).subset == (0,)
         intervals = enumerate_optimal_subsets(inst, dyn)
-        assert [(iv.lo, iv.hi, iv.subset) for iv in intervals] == [(0.0, 1.0, (0,))]
+        assert interval_rows(intervals) == [(0.0, 1.0, (0,))]
 
     def test_boundaries_closer_than_1e_9(self):
         """Feature 1 is optimal on an interval about 5e-10 wide, with the 0-2
@@ -250,7 +248,7 @@ class TestEnumerateOptimalSubsets:
         assert lo < mid < hi
         assert 4e-10 < hi - lo < 6e-10
         intervals = enumerate_optimal_subsets(inst, Exponential(0.0))
-        assert [(iv.lo, iv.hi, iv.subset) for iv in intervals] == [
+        assert interval_rows(intervals) == [
             (0.0, lo, (0,)),
             (lo, hi, (1,)),
             (hi, 1.0, (2,)),
@@ -264,7 +262,7 @@ class TestEnumerateOptimalSubsets:
         a = np.array([1.0, 1.5])
         inst = ProblemInstance(a=a, c=0.0, h0=np.array([1.0, 0.0]), c_bar=0.0, k=1, delta=0.5)
         intervals = _assemble_intervals(inst, Exponential(0.0), np.array([boundary]))
-        assert (intervals[0].lo, intervals[-1].hi) == (0.0, 1.0)
+        assert (intervals.lo[0], intervals.hi[-1]) == (0.0, 1.0)
 
 
 class TestLossRatioHeatmap:
@@ -483,6 +481,11 @@ def scalar_grid_enumerate(instance, dynamic, resolution=1e-6):
     )
 
 
+def interval_rows(intervals):
+    """An `IntervalTable`'s columns as (lo, hi, subset) rows."""
+    return list(zip(intervals.lo.tolist(), intervals.hi.tolist(), intervals.subsets))
+
+
 def hexed(intervals):
     return [(float(lo).hex(), float(hi).hex(), subset) for lo, hi, subset in intervals]
 
@@ -494,10 +497,13 @@ def assert_near_grid(instance, dynamic, intervals, resolution=1e-6):
     wholly outside it are left out of the comparison.
     """
     grid = scalar_grid_enumerate(instance, dynamic, resolution)
-    intervals = [iv for iv in intervals if iv.hi > resolution and iv.lo < 1.0 - resolution]
-    assert [iv.subset for iv in intervals] == [subset for *_, subset in grid]
+    inside = (intervals.hi > resolution) & (intervals.lo < 1.0 - resolution)
+    assert [s for s, keep in zip(intervals.subsets, inside) if keep] == [s for *_, s in grid]
     np.testing.assert_allclose(
-        [(iv.lo, iv.hi) for iv in intervals], [(lo, hi) for lo, hi, _ in grid], rtol=0, atol=2e-6
+        np.column_stack((intervals.lo, intervals.hi))[inside],
+        np.array([(lo, hi) for lo, hi, _ in grid]).reshape(-1, 2),
+        rtol=0,
+        atol=2e-6,
     )
 
 
@@ -586,8 +592,8 @@ class TestColumnsMatchScalarLoops:
     def test_geometric_intervals(self, instance, dynamic):
         intervals = enumerate_optimal_subsets(instance, dynamic)
         expected = scalar_enumerate(instance, dynamic)
-        assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
-        assert [iv.informativeness for iv in intervals] == [
+        assert hexed(interval_rows(intervals)) == hexed(expected)
+        assert intervals.informativeness.tolist() == [
             subset_informativeness(instance, s) for *_, s in expected
         ]
 
@@ -596,7 +602,7 @@ class TestColumnsMatchScalarLoops:
     def test_tabulated_intervals(self, instance, dynamic):
         intervals = enumerate_optimal_subsets(instance, dynamic)
         expected = scalar_enumerate(instance, dynamic)
-        assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
+        assert hexed(interval_rows(intervals)) == hexed(expected)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -629,7 +635,7 @@ class TestColumnsMatchScalarLoops:
         intervals = enumerate_optimal_subsets(instance, dynamic)
         expected = scalar_enumerate(instance, dynamic)
         assert len(expected) > 3
-        assert hexed((iv.lo, iv.hi, iv.subset) for iv in intervals) == hexed(expected)
+        assert hexed(interval_rows(intervals)) == hexed(expected)
         assert_near_grid(instance, dynamic, intervals)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -641,9 +647,7 @@ class TestColumnsMatchScalarLoops:
         monkeypatch.setattr(tradeoff, "PROBE_BLOCK", rows * instance.n)
         for dyn, want in zip(cases, expected):
             got = enumerate_optimal_subsets(instance, dyn)
-            assert [(iv.lo, iv.hi, iv.subset) for iv in got] == [
-                (iv.lo, iv.hi, iv.subset) for iv in want
-            ]
+            assert hexed(interval_rows(got)) == hexed(interval_rows(want))
 
 
 class TestSwitchPointEdges:
@@ -692,5 +696,5 @@ class TestMorePatienceMoreInformation:
     @settings(max_examples=300, deadline=None)
     @given(instance=instances(max_n=8), dynamic=dynamics)
     def test_interval_informativeness_nondecreasing(self, instance, dynamic):
-        infos = [iv.informativeness for iv in enumerate_optimal_subsets(instance, dynamic)]
+        infos = enumerate_optimal_subsets(instance, dynamic).informativeness.tolist()
         assert all(b >= a for a, b in zip(infos, infos[1:])), infos
