@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teachsel import (
@@ -409,7 +409,9 @@ def scalar_assemble(instance, dynamic, boundaries, subset_at=scalar_subset_at):
     for lo, hi in zip(edges, edges[1:]):
         if hi - lo <= 0.0:
             continue
-        subset = subset_at(instance, dynamic, 0.5 * (lo + hi))
+        # Between neighbouring floats a midpoint can round onto 0 or 1, as in the library.
+        mid = min(max(0.5 * (lo + hi), np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
+        subset = subset_at(instance, dynamic, float(mid))
         if intervals and intervals[-1][2] == subset:
             intervals[-1] = (intervals[-1][0], hi, subset)
         else:
@@ -589,6 +591,17 @@ class TestColumnsMatchScalarLoops:
 
     @settings(max_examples=150, deadline=None)
     @given(instance=instances(), dynamic=exponentials)
+    @example(  # a pair threshold one ulp below 1
+        instance=ProblemInstance(
+            a=[-0.10000000000000002, 1.0, 1.0, 1.0, 1.0, 0.1],
+            c=0.0,
+            h0=[0.0625, 1.0, 1.0, 1.0, 1.0, 0.1],
+            c_bar=0.0,
+            k=0,
+            delta=0.5,
+        ),
+        dynamic=Exponential(0.0),
+    )
     def test_geometric_intervals(self, instance, dynamic):
         intervals = enumerate_optimal_subsets(instance, dynamic)
         expected = scalar_enumerate(instance, dynamic)
