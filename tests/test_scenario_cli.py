@@ -462,6 +462,38 @@ class TestCliCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["subset"] == "2+3"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_full_device_mid_report_exits_2(self, capsys, monkeypatch, tmp_path, fmt):
+        # 2,000 rows in blocks of 100: the device fills while later blocks
+        # are still to be formatted.
+        features = [{"a": 0.5 + i / 4000, "h0": 0.1} for i in range(2000)]
+        path = write_scenario(tmp_path / "wide.json", features=features, k=10, delta=0.9)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 100)
+        code, out, err = run_cli(capsys, "plan-static", path, "--format", fmt, "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write /dev/full: No space left on device\n"
+
+    def test_closed_stdout_pipe_exits_1_quietly(self, tmp_path):
+        # The report is several blocks and far more than a pipe holds, so the
+        # writer is still writing when the reader goes away.
+        n = 3 * cli.BLOCK_ROWS
+        features = [{"a": 0.5 + i / (2 * n), "h0": 0.1} for i in range(n)]
+        path = write_scenario(tmp_path / "wide.json", features=features, k=10, delta=0.9)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "teachsel", "plan-stationary", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": env_path},
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert head.startswith(b'{\n  "subset": ')
+        assert (code, err) == (1, b"")
+
     def test_format_subset(self):
         assert format_subset((2, 0)) == "1+3"
         assert format_subset(()) == ""
