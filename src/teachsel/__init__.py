@@ -13,12 +13,10 @@ from .dynamics import (
     Efficiency,
     Exponential,
     LearningDynamic,
-    MarginalProfile,
     Tabulated,
     discounted_phi_sum,
     is_more_efficient,
     marginals,
-    phi,
     sort_marginals_dynamic,
 )
 from .errors import InvalidInputError, ScenarioError, VerificationError
@@ -28,8 +26,6 @@ from .model import (
     StandardizationSpec,
     mse,
     standardize,
-    static_set_value,
-    static_value,
     static_values,
     subset_informativeness,
 )
@@ -47,7 +43,6 @@ from .planner import (
     discounted_baseline_loss,
     optimal_static_subset,
     optimal_stationary_sequence,
-    stationary_feature_value,
     stationary_values,
 )
 from .robustness import (
@@ -64,19 +59,14 @@ from .tradeoff import (
     EfficiencyComparison,
     HeatmapResult,
     IntervalTable,
-    PairGap,
     SweepResult,
-    SwitchPoint,
     SwitchTable,
     all_switch_points,
     compare_efficiency_selection,
     enumerate_optimal_subsets,
     inverse_weight_cdf,
-    pair_gap,
     sweep_delta,
     sweep_w_delta_loss_ratio,
-    switching_point,
-    switching_point_closed_form,
 )
 
 __version__ = "0.1.0"
@@ -94,8 +84,6 @@ __all__ = [
     "InvalidInputError",
     "LearningDynamic",
     "MarginReport",
-    "MarginalProfile",
-    "PairGap",
     "ProblemInstance",
     "Scenario",
     "ScenarioError",
@@ -104,7 +92,6 @@ __all__ = [
     "StaticPlan",
     "StationaryPlan",
     "SweepResult",
-    "SwitchPoint",
     "SwitchTable",
     "Tabulated",
     "ValidationReport",
@@ -124,22 +111,15 @@ __all__ = [
     "mse",
     "optimal_static_subset",
     "optimal_stationary_sequence",
-    "pair_gap",
-    "phi",
     "sequence_loss",
     "sequence_value",
     "simulate_beliefs",
     "sort_marginals_dynamic",
     "standardize",
-    "static_set_value",
-    "static_value",
     "static_values",
-    "stationary_feature_value",
     "stationary_values",
     "subset_informativeness",
     "sweep_delta",
     "sweep_w_delta_loss_ratio",
-    "switching_point",
-    "switching_point_closed_form",
     "validate_bound",
 ]

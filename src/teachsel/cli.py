@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import os
@@ -513,17 +514,33 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+class _Stdout(io.RawIOBase):
+    """File descriptor 1, one ``os.write`` per write.  Buffered over it, a
+    write that a closing reader cuts short raises BrokenPipeError, where
+    the default stdout returns the short count and its text layer drops it."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        return os.write(1, data)
+
+
 def run() -> int:
     """The process entry point (``teachsel``, ``python -m teachsel``): `main`,
     with a reader that closes stdout early ending the process with exit 1 and
     no traceback."""
+    out = sys.stdout
+    sys.stdout = io.TextIOWrapper(
+        io.BufferedWriter(_Stdout()), out.encoding, out.errors, line_buffering=out.line_buffering
+    )
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
         # Python's advice: stdout goes to devnull, so the interpreter's own
         # flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 1
     return code
 

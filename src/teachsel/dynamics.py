@@ -145,11 +145,6 @@ def _check_delta(delta) -> None:
         raise InvalidInputError("delta must lie strictly inside (0,1)")
 
 
-def phi(dynamic: LearningDynamic, m: int) -> float:
-    """Remaining divergence weight after `m` observations of a feature."""
-    return dynamic.phi(m)
-
-
 def discounted_phi_sum(dynamic: LearningDynamic, delta, offset: int = 0):
     """``sum_{t>=0} delta^t * phi(t + offset)``, exact via closed forms.
 
@@ -158,27 +153,13 @@ def discounted_phi_sum(dynamic: LearningDynamic, delta, offset: int = 0):
     return dynamic.discounted_phi_sum(delta, offset)
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalProfile:
-    """Per-step learning gains ``psi(t) = phi(t-1) - phi(t)``, t = 1..horizon."""
-
-    psi: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.psi, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "psi", arr)
-
-    def total(self) -> float:
-        return float(np.sum(self.psi))
-
-
-def marginals(dynamic: LearningDynamic, horizon: int = DEFAULT_HORIZON) -> MarginalProfile:
-    """First `horizon` marginal gains of the dynamic's weight curve."""
+def marginals(dynamic: LearningDynamic, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
+    """First `horizon` learning gains ``psi(t) = phi(t-1) - phi(t)``,
+    t = 1..horizon, of the dynamic's weight curve."""
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     curve = np.array([dynamic.phi(m) for m in range(horizon + 1)])
-    return MarginalProfile(psi=curve[:-1] - curve[1:])
+    return curve[:-1] - curve[1:]
 
 
 def sort_marginals_dynamic(
@@ -196,7 +177,7 @@ def sort_marginals_dynamic(
     if not dynamic.converges():
         raise InvalidInputError("dynamic never converges; marginals sum to < 1")
     curve = [dynamic.phi(m) for m in range(horizon + 1)]
-    psi = np.sort(marginals(dynamic, horizon).psi)[::-1]
+    psi = np.sort(marginals(dynamic, horizon))[::-1]
     floor = curve[horizon]
     values = [1.0]
     run = 1.0
@@ -213,6 +194,8 @@ def sort_marginals_dynamic(
 
 
 class Efficiency(enum.Enum):
+    """How one learning dynamic's weight curve compares with another's."""
+
     MORE = "more"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"

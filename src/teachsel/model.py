@@ -122,6 +122,14 @@ class ProblemInstance:
         return (self.c - self.c_bar) ** 2 + float(np.sum(self.a**2))
 
 
+def as_beliefs(instance: ProblemInstance, h) -> np.ndarray:
+    """`h` as a belief vector of the instance's length; None gives `h0`."""
+    hv = instance.h0 if h is None else np.asarray(h, dtype=float)
+    if hv.shape != instance.a.shape:
+        raise InvalidInputError(f"belief vector length {hv.size} != feature count {instance.n}")
+    return hv
+
+
 def mse(
     instance: ProblemInstance,
     subset: Iterable[int],
@@ -134,61 +142,19 @@ def mse(
     `h` defaults to the instance's initial beliefs.
     """
     idx = normalize_subset(subset, instance.n)
-    if h is None:
-        hv = instance.h0
-    else:
-        hv = np.asarray(h, dtype=float)
-        if hv.shape != instance.a.shape:
-            raise InvalidInputError(
-                f"belief vector length {hv.size} != feature count {instance.n}"
-            )
+    hv = as_beliefs(instance, h)
     a = instance.a
     unused = np.sum(a**2) - (np.sum(a[list(idx)] ** 2) if idx else 0.0)
     used = float(np.sum((a[list(idx)] - hv[list(idx)]) ** 2)) if idx else 0.0
     return (instance.c - instance.c_bar) ** 2 + float(unused) + used
 
 
-def static_value(
-    instance: ProblemInstance,
-    i: int,
-    h: Sequence[float] | np.ndarray | None = None,
-) -> float:
-    """Loss reduction from revealing feature `i` once, beliefs held fixed.
-
-    Equal to ``2*a_i*h_i - h_i^2`` = ``a_i^2 - (a_i - h_i)^2``: the feature's
-    informativeness minus the human's divergence on it.
-    """
-    if not 0 <= int(i) < instance.n:
-        raise InvalidInputError(f"feature index {i} out of range [0, {instance.n})")
-    hv = instance.h0 if h is None else np.asarray(h, dtype=float)
-    if hv.shape != instance.a.shape:
-        raise InvalidInputError(
-            f"belief vector length {hv.size} != feature count {instance.n}"
-        )
-    return float(2.0 * instance.a[i] * hv[i] - hv[i] ** 2)
-
-
 def static_values(
     instance: ProblemInstance, h: Sequence[float] | np.ndarray | None = None
 ) -> np.ndarray:
     """Vector of static per-feature values ``2*a*h - h^2``."""
-    hv = instance.h0 if h is None else np.asarray(h, dtype=float)
-    if hv.shape != instance.a.shape:
-        raise InvalidInputError(
-            f"belief vector length {hv.size} != feature count {instance.n}"
-        )
+    hv = as_beliefs(instance, h)
     return 2.0 * instance.a * hv - hv**2
-
-
-def static_set_value(
-    instance: ProblemInstance,
-    subset: Iterable[int],
-    h: Sequence[float] | np.ndarray | None = None,
-) -> float:
-    """Value of a feature set with fixed beliefs: additive over members."""
-    idx = normalize_subset(subset, instance.n)
-    vals = static_values(instance, h)
-    return float(np.sum(vals[list(idx)])) if idx else 0.0
 
 
 def subset_informativeness(instance: ProblemInstance, subset: Iterable[int]) -> float:

@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import LearningDynamic, discounted_phi_sum
-from .errors import InvalidInputError
-from .model import FeatureSubset, ProblemInstance, static_values
+from .model import FeatureSubset, ProblemInstance, as_beliefs, static_values
 
 NEAR_TIE_RTOL = 1e-12
 
@@ -122,21 +121,12 @@ def optimal_static_subset(
     values; ties break toward the lower index.  The plan's columns cover
     every feature.
     """
-    hv = instance.h0 if h is None else np.asarray(h, dtype=float)
+    hv = as_beliefs(instance, h)
     return StaticPlan(
         informativeness=instance.informativeness,
         divergence0=(instance.a - hv) ** 2,
         **_columns(static_values(instance, hv), instance.k),
     )
-
-
-def stationary_feature_value(
-    instance: ProblemInstance, dynamic: LearningDynamic, i: int
-) -> float:
-    """Discounted value of revealing feature `i` at every step forever."""
-    if not 0 <= int(i) < instance.n:
-        raise InvalidInputError(f"feature index {i} out of range [0, {instance.n})")
-    return float(stationary_values(instance, dynamic)[i])
 
 
 def stationary_values(

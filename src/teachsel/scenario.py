@@ -29,6 +29,9 @@ from .model import ProblemInstance, StandardizationSpec, standardize
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A loaded scenario file: its instance (in standardized units when the
+    file standardizes), dynamic, feature names and standardization."""
+
     instance: ProblemInstance
     dynamic: LearningDynamic
     names: tuple[str, ...]

@@ -44,62 +44,6 @@ ALWAYS_PREFERRED = "always_i"
 THRESHOLD = "threshold"
 
 
-@dataclass(frozen=True)
-class PairGap:
-    """Informativeness and divergence gaps for an ordered feature pair.
-
-    `i` is the strictly more informative feature: ``delta_info > 0``.
-    """
-
-    i: int
-    j: int
-    delta_info: float
-    delta_div: float
-
-    def __post_init__(self) -> None:
-        if self.delta_info <= 0.0:
-            raise InvalidInputError(
-                "pair must be ordered with i strictly more informative than j"
-            )
-
-
-def pair_gap(instance: ProblemInstance, i: int, j: int) -> PairGap:
-    """Build the gap for features `i`, `j`, ordering by informativeness."""
-    n = instance.n
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise InvalidInputError(f"need two distinct indices in [0, {n})")
-    info = instance.informativeness
-    if info[i] == info[j]:
-        raise InvalidInputError(
-            f"features {i} and {j} are equally informative; no ordered pair exists"
-        )
-    if info[i] < info[j]:
-        i, j = j, i
-    div = instance.divergence0
-    return PairGap(
-        i=int(i),
-        j=int(j),
-        delta_info=float(info[i] - info[j]),
-        delta_div=float(div[i] - div[j]),
-    )
-
-
-@dataclass(frozen=True)
-class SwitchPoint:
-    """Patience threshold above which the more informative feature wins.
-
-    ``threshold is None`` means the more informative feature is weakly
-    preferred at every patience level.
-    """
-
-    pair: PairGap
-    threshold: float | None
-
-    @property
-    def kind(self) -> str:
-        return ALWAYS_PREFERRED if self.threshold is None else THRESHOLD
-
-
 @dataclass(frozen=True, eq=False)
 class SwitchTable:
     """One row per ordered pair of features with distinct informativeness.
@@ -171,19 +115,6 @@ def _thresholds(
             )
         out[need] = inverse_weight_cdf(dynamic, 1.0 - delta_info[need] / delta_div[need])
     return out
-
-
-def switching_point(pair: PairGap, dynamic: LearningDynamic) -> SwitchPoint:
-    """Locate the pair's patience threshold under an arbitrary dynamic."""
-    t = _thresholds(dynamic, np.array([pair.delta_info]), np.array([pair.delta_div]))[0]
-    return SwitchPoint(pair=pair, threshold=None if np.isnan(t) else float(t))
-
-
-def switching_point_closed_form(pair: PairGap, w: float) -> SwitchPoint:
-    """Threshold under geometric learning: ``(dD - dI) / (dD - w^2*dI)``."""
-    if not 0.0 <= w < 1.0:
-        raise InvalidInputError(f"retention w={w} outside [0, 1)")
-    return switching_point(pair, Exponential(w))
 
 
 def _pair_columns(instance: ProblemInstance):
@@ -392,6 +323,8 @@ class HeatmapResult:
 def sweep_w_delta_loss_ratio(
     instance: ProblemInstance, w_grid, delta_grid
 ) -> HeatmapResult:
+    """Loss ratios of the two one-feature plans of a two-feature, k = 1
+    instance over a retention by patience grid, under geometric learning."""
     if instance.n != 2 or instance.k != 1:
         raise InvalidInputError(
             "loss-ratio heatmap needs exactly 2 features and budget k=1"
@@ -428,6 +361,9 @@ def sweep_w_delta_loss_ratio(
 
 @dataclass(frozen=True)
 class EfficiencyComparison:
+    """The optimal stationary plans under two dynamics, side by side;
+    `ordering_holds` is None when the dynamics are incomparable."""
+
     classification: Efficiency
     subset_1: FeatureSubset
     subset_2: FeatureSubset

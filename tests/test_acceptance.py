@@ -19,12 +19,12 @@ from teachsel import (
     ErrorKind,
     ErrorSpec,
     Exponential,
-    PairGap,
     ProblemInstance,
     SelectionSequence,
     Tabulated,
     all_switch_points,
     enumerate_optimal_subsets,
+    inverse_weight_cdf,
     is_more_efficient,
     mse,
     optimal_stationary_sequence,
@@ -35,8 +35,6 @@ from teachsel import (
     subset_informativeness,
     sweep_delta,
     sweep_w_delta_loss_ratio,
-    switching_point,
-    switching_point_closed_form,
     validate_bound,
 )
 from teachsel.cli import main
@@ -137,8 +135,7 @@ def test_criterion_2_learning_narrative(record):
 
 
 def test_criterion_3_switching_point(record):
-    gap = PairGap(i=0, j=1, delta_info=0.84, delta_div=2.1275)
-    closed = switching_point_closed_form(gap, 0.0).threshold
+    closed = inverse_weight_cdf(Exponential(0.0), [1.0 - 0.84 / 2.1275])[0]
     anchor_ok = abs(closed - 0.605170) < 1e-6
 
     rng = np.random.default_rng(2024)
@@ -147,10 +144,10 @@ def test_criterion_3_switching_point(record):
         delta_info = float(rng.uniform(0.05, 2.0))
         delta_div = delta_info + float(rng.uniform(0.01, 2.0))
         w = float(rng.uniform(0.0, 0.95))
-        pair = PairGap(i=0, j=1, delta_info=delta_info, delta_div=delta_div)
+        target = [1.0 - delta_info / delta_div]
         # Same weights as Exponential(w), but bisected.
-        bisected = switching_point(pair, Tabulated((1.0,), tail_w=w)).threshold
-        exact = switching_point_closed_form(pair, w).threshold
+        bisected = inverse_weight_cdf(Tabulated((1.0,), tail_w=w), target)[0]
+        exact = inverse_weight_cdf(Exponential(w), target)[0]
         if abs(bisected - exact) > 1e-9:
             agree = False
             break
@@ -162,7 +159,7 @@ def test_criterion_4_transition_curve(record):
     w_grid = (np.arange(100) + 0.5) / 100
     delta_grid = (np.arange(100) + 0.5) / 100
     cell = delta_grid[1] - delta_grid[0]
-    gap = PairGap(i=0, j=1, delta_info=0.84, delta_div=2.1275)
+    delta_info, delta_div = 0.84, 2.1275
 
     start = time.perf_counter()
     result = sweep_w_delta_loss_ratio(inst, w_grid, delta_grid)
@@ -173,7 +170,7 @@ def test_criterion_4_transition_curve(record):
     for wi, w in enumerate(w_grid):
         ratios = result.ratios[wi]
         crossing = np.nonzero(ratios <= 1.0)[0]
-        theory = switching_point_closed_form(gap, float(w)).threshold
+        theory = (delta_div - delta_info) / (delta_div - w**2 * delta_info)
         thresholds.append(theory)
         if crossing.size == 0 or crossing[0] == 0:
             within_cell = False
@@ -361,7 +358,8 @@ def test_criterion_9_large_instance_performance(record, tmp_path, capsys):
         ["plan-stationary", str(scenario), "--format", "csv", "--out", str(out_path)]
     )
     capsys.readouterr()
-    cli_ok = code == 0 and sum(1 for _ in open(out_path)) == n + 1
+    with open(out_path) as report:
+        cli_ok = code == 0 and sum(1 for _ in report) == n + 1
     record(
         9,
         f"stationary planning over 100,000 features in {elapsed:.3f}s < 0.25s (CLI carries the size)",

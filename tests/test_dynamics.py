@@ -13,7 +13,6 @@ from teachsel import (
     discounted_phi_sum,
     is_more_efficient,
     marginals,
-    phi,
     sort_marginals_dynamic,
 )
 
@@ -42,13 +41,13 @@ def truncated_sum(dynamic, delta: float, offset: int = 0, tol: float = 1e-13) ->
 
 class TestPhi:
     def test_starts_at_one(self):
-        assert phi(Exponential(0.5), 0) == 1.0
-        assert phi(Exponential(0.0), 0) == 1.0
-        assert phi(Tabulated((1.0, 0.4)), 0) == 1.0
+        assert Exponential(0.5).phi(0) == 1.0
+        assert Exponential(0.0).phi(0) == 1.0
+        assert Tabulated((1.0, 0.4)).phi(0) == 1.0
 
     def test_exponential_values(self):
-        assert phi(Exponential(0.5), 2) == pytest.approx(0.0625, abs=1e-15)
-        assert phi(Exponential(0.0), 1) == 0.0
+        assert Exponential(0.5).phi(2) == pytest.approx(0.0625, abs=1e-15)
+        assert Exponential(0.0).phi(1) == 0.0
 
     def test_tabulated_inside_and_beyond_table(self):
         dyn = Tabulated((1.0, 0.5, 0.25), tail_w=0.5)
@@ -159,16 +158,16 @@ class TestDiscountedPhiSum:
 
 class TestMarginals:
     def test_values(self):
-        prof = marginals(Exponential(0.5), horizon=2)
-        np.testing.assert_allclose(prof.psi, [0.75, 0.1875], atol=1e-15)
+        psi = marginals(Exponential(0.5), horizon=2)
+        np.testing.assert_allclose(psi, [0.75, 0.1875], atol=1e-15)
 
     def test_one_step_learner(self):
-        prof = marginals(Exponential(0.0), horizon=5)
-        np.testing.assert_allclose(prof.psi, [1.0, 0.0, 0.0, 0.0, 0.0])
+        psi = marginals(Exponential(0.0), horizon=5)
+        np.testing.assert_allclose(psi, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_partial_sums_approach_one(self):
         for dyn in (Exponential(0.6), Tabulated((1.0, 0.3), tail_w=0.4)):
-            totals = [marginals(dyn, horizon=h).total() for h in (4, 16, 64)]
+            totals = [marginals(dyn, horizon=h).sum() for h in (4, 16, 64)]
             assert all(b >= a for a, b in zip(totals, totals[1:]))
             assert totals[-1] == pytest.approx(1.0, abs=1e-9)
 
@@ -176,7 +175,7 @@ class TestMarginals:
         rng = np.random.default_rng(21)
         for _ in range(30):
             dyn = Exponential(float(rng.uniform(0, 1)))
-            assert np.all(marginals(dyn, horizon=32).psi >= 0.0)
+            assert np.all(marginals(dyn, horizon=32) >= 0.0)
 
 
 class TestSortMarginals:

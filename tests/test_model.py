@@ -13,8 +13,6 @@ from teachsel import (
     StandardizationSpec,
     mse,
     standardize,
-    static_set_value,
-    static_value,
     static_values,
     subset_informativeness,
 )
@@ -77,7 +75,7 @@ class TestStaticValue:
         "i,expected", [(0, -0.16), (1, 0.04), (2, 0.0075)]
     )
     def test_golden_values(self, three_feature_instance, i, expected):
-        assert static_value(three_feature_instance, i) == pytest.approx(
+        assert static_values(three_feature_instance)[i] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -85,12 +83,8 @@ class TestStaticValue:
         inst = ProblemInstance(
             a=[0.7, 1.3], c=0.0, h0=[0.0, 0.0], c_bar=0.0, k=2, delta=0.5
         )
-        assert static_value(inst, 0) == 0.0
-        assert static_value(inst, 1) == 0.0
-
-    def test_index_out_of_range(self, three_feature_instance):
-        with pytest.raises(InvalidInputError):
-            static_value(three_feature_instance, 3)
+        assert static_values(inst)[0] == 0.0
+        assert static_values(inst)[1] == 0.0
 
     def test_sign_rule(self):
         """Positive value iff h lies strictly between 0 and 2a."""
@@ -101,7 +95,7 @@ class TestStaticValue:
             inst = ProblemInstance(
                 a=[a], c=0.0, h0=[h], c_bar=0.0, k=1, delta=0.5
             )
-            value = static_value(inst, 0)
+            value = static_values(inst)[0]
             between = (0 < h < 2 * a) if a > 0 else (2 * a < h < 0)
             if value > 0:
                 assert between
@@ -111,18 +105,18 @@ class TestStaticValue:
 
 class TestStaticSetValue:
     def test_golden_pair(self, three_feature_instance):
-        assert static_set_value(three_feature_instance, (1, 2)) == pytest.approx(
+        assert static_values(three_feature_instance)[[1, 2]].sum() == pytest.approx(
             0.0475, abs=1e-12
         )
 
     def test_empty_set(self, three_feature_instance):
-        assert static_set_value(three_feature_instance, ()) == 0.0
+        assert static_values(three_feature_instance)[[]].sum() == 0.0
 
     def test_equals_mse_drop(self, three_feature_instance):
         inst = three_feature_instance
         for subset in THREE_FEATURE_MSE:
             drop = mse(inst, ()) - mse(inst, subset)
-            assert static_set_value(inst, subset) == pytest.approx(drop, abs=1e-12)
+            assert static_values(inst)[list(subset)].sum() == pytest.approx(drop, abs=1e-12)
 
     def test_additivity_exhaustive(self):
         """Set value == sum of member values == baseline-mse drop, all subsets."""
@@ -134,7 +128,7 @@ class TestStaticSetValue:
             for size in range(inst.n + 1):
                 for subset in itertools.combinations(range(inst.n), size):
                     expected = mse(inst, (), h) - mse(inst, subset, h)
-                    total = static_set_value(inst, subset, h)
+                    total = static_values(inst, h)[list(subset)].sum()
                     assert total == pytest.approx(expected, abs=1e-12)
                     assert total == pytest.approx(
                         sum(values[list(subset)]), abs=1e-12

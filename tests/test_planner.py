@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from teachsel import (
     Exponential,
+    InvalidInputError,
     ProblemInstance,
     SelectionSequence,
     discounted_baseline_loss,
@@ -16,7 +17,6 @@ from teachsel import (
     optimal_stationary_sequence,
     sequence_loss,
     static_values,
-    stationary_feature_value,
     stationary_values,
 )
 
@@ -58,6 +58,11 @@ class TestOptimalStaticSubset:
         )
         assert optimal_static_subset(inst).subset == ()
 
+    def test_beliefs_of_another_length_are_rejected(self, three_feature_instance):
+        for h in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4]):
+            with pytest.raises(InvalidInputError, match="belief vector length"):
+                optimal_static_subset(three_feature_instance, h)
+
     def test_budget_respected_and_ties_break_low_index(self):
         inst = ProblemInstance(
             a=[0.5, 0.5, 0.5], c=0.0, h0=[0.5, 0.5, 0.5], c_bar=0.0, k=2, delta=0.5
@@ -80,14 +85,14 @@ class TestStationaryFeatureValue:
         inst = ProblemInstance(
             a=[1.0, 0.4], c=0.0, h0=[-0.5, 0.75], c_bar=0.0, k=1, delta=0.9
         )
-        got = stationary_feature_value(inst, Exponential(0.5), 0)
+        got = stationary_values(inst, Exponential(0.5))[0]
         assert got == pytest.approx(7.096774193548387, abs=1e-12)
 
     def test_correct_beliefs_leave_pure_informativeness(self):
         inst = ProblemInstance(
             a=[0.8], c=0.0, h0=[0.8], c_bar=0.0, k=1, delta=0.75
         )
-        got = stationary_feature_value(inst, Exponential(0.3), 0)
+        got = stationary_values(inst, Exponential(0.3))[0]
         assert got == pytest.approx(0.64 / 0.25, abs=1e-12)
 
     def test_no_learning_limit_matches_discounted_static_value(self):
@@ -99,7 +104,7 @@ class TestStationaryFeatureValue:
         static = static_values(inst)
         for i in range(2):
             expected = static[i] / (1.0 - inst.delta)
-            assert stationary_feature_value(inst, slow, i) == pytest.approx(
+            assert stationary_values(inst, slow)[i] == pytest.approx(
                 expected, abs=1e-4
             )
 

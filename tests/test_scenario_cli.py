@@ -474,25 +474,30 @@ class TestCliCommands:
         assert err == "error: cannot write /dev/full: No space left on device\n"
 
     def test_closed_stdout_pipe_exits_1_quietly(self, tmp_path):
-        # The report is several blocks and far more than a pipe holds, so the
-        # writer is still writing when the reader goes away.
-        n = 3 * cli.BLOCK_ROWS
-        features = [{"a": 0.5 + i / (2 * n), "h0": 0.1} for i in range(n)]
-        path = write_scenario(tmp_path / "wide.json", features=features, k=10, delta=0.9)
+        # Each report is far more than a pipe holds, so the writer is still
+        # writing when the reader goes away: as JSON over several blocks, and
+        # as CSV in one block that is the report's last write, which the
+        # kernel cuts short rather than failing.
         src = str(Path(__file__).resolve().parent.parent / "src")
         env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        with subprocess.Popen(
-            [sys.executable, "-m", "teachsel", "plan-stationary", str(path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": env_path},
-        ) as proc:
-            head = proc.stdout.read(100)
-            proc.stdout.close()
-            err = proc.stderr.read()
-            code = proc.wait(timeout=60)
-        assert head.startswith(b'{\n  "subset": ')
-        assert (code, err) == (1, b"")
+        for n, fmt, start in (
+            (3 * cli.BLOCK_ROWS, "json", b'{\n  "subset": '),
+            (5000, "csv", b"feature,name,"),
+        ):
+            features = [{"a": 0.5 + i / (2 * n), "h0": 0.1} for i in range(n)]
+            path = write_scenario(tmp_path / "wide.json", features=features, k=10, delta=0.9)
+            with subprocess.Popen(
+                [sys.executable, "-m", "teachsel", "plan-stationary", str(path), "--format", fmt],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": env_path},
+            ) as proc:
+                head = proc.stdout.read(100)
+                proc.stdout.close()
+                err = proc.stderr.read()
+                code = proc.wait(timeout=60)
+            assert head.startswith(start), fmt
+            assert (code, err) == (1, b""), fmt
 
     def test_format_subset(self):
         assert format_subset((2, 0)) == "1+3"

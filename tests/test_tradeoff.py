@@ -11,7 +11,6 @@ from teachsel import (
     Efficiency,
     Exponential,
     InvalidInputError,
-    PairGap,
     ProblemInstance,
     Tabulated,
     all_switch_points,
@@ -21,13 +20,10 @@ from teachsel import (
     inverse_weight_cdf,
     load_scenario,
     optimal_stationary_sequence,
-    pair_gap,
     sort_marginals_dynamic,
     subset_informativeness,
     sweep_delta,
     sweep_w_delta_loss_ratio,
-    switching_point,
-    switching_point_closed_form,
     tradeoff,
 )
 from teachsel.cli import main
@@ -47,42 +43,44 @@ TWO_FEATURE_THRESHOLD_W05 = 0.6714471968709257  # 1.2875 / 1.9175
 
 class TestSwitchingPoint:
     def test_two_feature_demo_closed_form(self, two_feature_instance):
-        gap = pair_gap(two_feature_instance, 0, 1)
-        assert gap.delta_info == pytest.approx(0.84, abs=1e-12)
-        assert gap.delta_div == pytest.approx(2.1275, abs=1e-12)
-        point = switching_point_closed_form(gap, 0.0)
-        assert point.threshold == pytest.approx(TWO_FEATURE_THRESHOLD_W0, abs=1e-12)
-        point = switching_point_closed_form(gap, 0.5)
-        assert point.threshold == pytest.approx(TWO_FEATURE_THRESHOLD_W05, abs=1e-12)
+        table = all_switch_points(two_feature_instance, Exponential(0.0))
+        assert (table.i[0], table.j[0]) == (0, 1)
+        assert table.delta_info[0] == pytest.approx(0.84, abs=1e-12)
+        assert table.delta_div[0] == pytest.approx(2.1275, abs=1e-12)
+        assert table.threshold[0] == pytest.approx(TWO_FEATURE_THRESHOLD_W0, abs=1e-12)
+        table = all_switch_points(two_feature_instance, Exponential(0.5))
+        assert table.threshold[0] == pytest.approx(TWO_FEATURE_THRESHOLD_W05, abs=1e-12)
 
     def test_bisection_agrees_with_closed_form(self, two_feature_instance):
         # The table has the weights of Exponential(w) but is bisected.
-        gap = pair_gap(two_feature_instance, 0, 1)
         for w in (0.0, 0.3, 0.5, 0.9):
-            got = switching_point(gap, Tabulated((1.0,), tail_w=w)).threshold
-            want = switching_point_closed_form(gap, w).threshold
-            assert got == pytest.approx(want, abs=1e-9)
+            got = all_switch_points(two_feature_instance, Tabulated((1.0,), tail_w=w))
+            want = all_switch_points(two_feature_instance, Exponential(w))
+            assert got.threshold[0] == pytest.approx(want.threshold[0], abs=1e-9)
 
     def test_informative_and_aligned_is_always_preferred(self):
         inst = ProblemInstance(
             a=[1.0, 0.4], c=0.0, h0=[1.0, 0.4], c_bar=0.0, k=1, delta=0.5
         )
-        gap = pair_gap(inst, 0, 1)
-        assert switching_point(gap, Exponential(0.5)).threshold is None
-        assert switching_point_closed_form(gap, 0.5).threshold is None
-        assert switching_point_closed_form(gap, 0.5).kind == "always_i"
+        assert np.isnan(all_switch_points(inst, Exponential(0.5)).threshold[0])
+        table = all_switch_points(inst, Tabulated((1.0,), tail_w=0.5))
+        assert np.isnan(table.threshold[0])
+        assert table.kind == ["always_i"]
 
-    def test_pair_ordering_is_automatic(self, two_feature_instance):
-        assert pair_gap(two_feature_instance, 1, 0).i == 0
+    def test_pair_ordering_is_automatic(self):
+        # Feature 0 is the less informative one, so the row puts 1 first.
+        inst = ProblemInstance(
+            a=[0.4, 1.0], c=0.0, h0=[0.75, -0.5], c_bar=0.0, k=1, delta=0.5
+        )
+        table = all_switch_points(inst, Exponential(0.0))
+        assert (table.i[0], table.j[0]) == (1, 0)
 
     def test_equal_informativeness_rejected(self):
         inst = ProblemInstance(
             a=[0.5, -0.5], c=0.0, h0=[0.1, 0.2], c_bar=0.0, k=1, delta=0.5
         )
-        with pytest.raises(InvalidInputError):
-            pair_gap(inst, 0, 1)
-        with pytest.raises(InvalidInputError):
-            PairGap(i=0, j=1, delta_info=0.0, delta_div=0.5)
+        # No ordered pair exists, so the table has no row.
+        assert all_switch_points(inst, Exponential(0.5)).i.size == 0
 
     def test_all_pairs_skips_equal_informativeness(self):
         inst = ProblemInstance(
@@ -95,10 +93,9 @@ class TestSwitchingPoint:
             assert column.shape == (2,)
 
     def test_threshold_really_flips_the_preference(self, two_feature_instance):
-        gap = pair_gap(two_feature_instance, 0, 1)
         for w in (0.0, 0.4, 0.8):
-            threshold = switching_point(gap, Exponential(w)).threshold
             dyn = Exponential(w)
+            threshold = all_switch_points(two_feature_instance, dyn).threshold[0]
             for delta, expect_first in (
                 (threshold - 1e-4, False),
                 (threshold + 1e-4, True),
@@ -368,19 +365,23 @@ def scalar_inverse(dynamic, target):
 
 
 def scalar_switch_points(instance, dynamic):
-    """(i, j, delta_info, delta_div, threshold or None), one pair at a time."""
+    """(i, j, delta_info, delta_div, threshold or None), one pair at a time,
+    the more informative feature first."""
+    info, div = instance.informativeness, instance.divergence0
     rows = []
     for i in range(instance.n):
         for j in range(i + 1, instance.n):
-            if instance.informativeness[i] == instance.informativeness[j]:
+            if info[i] == info[j]:
                 continue
-            gap = pair_gap(instance, i, j)
+            hi, lo = (i, j) if info[i] > info[j] else (j, i)
+            delta_info = float(info[hi] - info[lo])
+            delta_div = float(div[hi] - div[lo])
             threshold = None
-            if gap.delta_info < gap.delta_div:
+            if delta_info < delta_div:
                 if not dynamic.converges():
                     raise InvalidInputError("dynamic never converges")
-                threshold = scalar_inverse(dynamic, 1.0 - gap.delta_info / gap.delta_div)
-            rows.append((gap.i, gap.j, gap.delta_info, gap.delta_div, threshold))
+                threshold = scalar_inverse(dynamic, 1.0 - delta_info / delta_div)
+            rows.append((hi, lo, delta_info, delta_div, threshold))
     return rows
 
 
