@@ -201,18 +201,16 @@ class Efficiency(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def is_more_efficient(
-    d1: LearningDynamic, d2: LearningDynamic, horizon: int = DEFAULT_HORIZON
-) -> Efficiency:
+def is_more_efficient(d1: LearningDynamic, d2: LearningDynamic) -> Efficiency:
     """Compare two dynamics pointwise: does `d1` always leave less divergence?
 
     MORE means ``phi1 <= phi2`` everywhere (including the geometric tails)
     with strict inequality somewhere; EQUAL means identical curves;
-    anything else is INCOMPARABLE.
+    anything else is INCOMPARABLE.  The answer is exact: both curves are
+    compared on the longer table, and past it both are geometric, so
+    their last values and per-step decays settle every later step.
     """
-    if horizon < 1:
-        raise InvalidInputError("horizon must be >= 1")
-    h = max(horizon, len(d1.table) - 1, len(d2.table) - 1)
+    h = max(len(d1.table), len(d2.table)) - 1
     curve1 = np.array([d1.phi(m) for m in range(h + 1)])
     curve2 = np.array([d2.phi(m) for m in range(h + 1)])
 

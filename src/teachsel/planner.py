@@ -87,18 +87,6 @@ def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     return mask & (values > 0.0)
 
 
-def select_top_k(values: np.ndarray, k: int):
-    """Up to `k` features with the largest strictly positive values, sorted.
-
-    Ties break toward the lower index.  A 2-d `values` holds one row per
-    patience level and gives a list with one subset per row.
-    """
-    mask = top_k_mask(values, k)
-    if values.ndim == 2:
-        return [tuple(np.flatnonzero(row).tolist()) for row in mask]
-    return tuple(np.flatnonzero(mask).tolist())
-
-
 def _columns(values: np.ndarray, k: int) -> dict:
     """The plan fields shared by both planners, from per-feature values."""
     order = np.argsort(-values, kind="stable")  # the report's row order

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dynamics import LearningDynamic, discounted_phi_sum
 from .errors import InvalidInputError
-from .model import ProblemInstance, normalize_subset, static_values
-from .planner import select_top_k, stationary_values, top_k_mask
+from .model import ProblemInstance, normalize_subset
+from .planner import top_k_mask
 
 BOUND_SLACK = 1e-9
 # validate_bound scores trials in blocks of about this many estimates.
@@ -35,11 +35,6 @@ class ErrorKind(enum.Enum):
     LEARNING_SPEED = "learning-speed"  # discounted learning weight
 
 
-LEARNING_KINDS = frozenset(
-    {ErrorKind.HUMAN_LEARNING, ErrorKind.TRUTH_LEARNING, ErrorKind.LEARNING_SPEED}
-)
-
-
 @dataclass(frozen=True)
 class ErrorSpec:
     """An error type plus its magnitude bound.
@@ -51,34 +46,26 @@ class ErrorSpec:
     kind: ErrorKind
     epsilon: float | Sequence[float] | np.ndarray
 
-    def epsilon_vector(self, n: int) -> np.ndarray:
-        if self.kind is ErrorKind.LEARNING_SPEED:
-            raise InvalidInputError("learning-speed errors use a scalar epsilon")
+    def epsilon_values(self, n: int) -> np.ndarray:
+        """The checked epsilon: one per feature of `n`, or a 0-d array for
+        LEARNING_SPEED."""
         eps = np.asarray(self.epsilon, dtype=float)
-        if eps.ndim == 0:
-            eps = np.full(n, float(eps))
-        if eps.shape != (n,):
-            raise InvalidInputError(
-                f"epsilon must be a scalar or length-{n} vector, got shape {eps.shape}"
-            )
+        if self.kind is ErrorKind.LEARNING_SPEED:
+            if eps.size != 1:
+                raise InvalidInputError("learning-speed errors use a scalar epsilon")
+            eps = eps.reshape(())
+        else:
+            if eps.ndim == 0:
+                eps = np.full(n, float(eps))
+            if eps.shape != (n,):
+                raise InvalidInputError(
+                    f"epsilon must be a scalar or length-{n} vector, got shape {eps.shape}"
+                )
         if not np.all(np.isfinite(eps)):
             raise InvalidInputError("epsilon must be finite")
         if np.any(eps < 0.0):
             raise InvalidInputError("epsilon must be nonnegative")
         return eps
-
-    def epsilon_scalar(self) -> float:
-        eps = np.asarray(self.epsilon, dtype=float)
-        if eps.ndim > 0:
-            if eps.size != 1:
-                raise InvalidInputError("learning-speed errors use a scalar epsilon")
-            eps = eps.reshape(())
-        value = float(eps)
-        if not np.isfinite(value):
-            raise InvalidInputError("epsilon must be finite")
-        if value < 0.0:
-            raise InvalidInputError("epsilon must be nonnegative")
-        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,17 +113,16 @@ def margins(
 
 
 def _margins(instance, spec, dynamic) -> MarginReport:
+    eps = spec.epsilon_values(instance.n)
     a = instance.a
     h = instance.h0
     gap = np.abs(a - h)
 
     if spec.kind is ErrorKind.TRUTH_STATIC:
-        eps = spec.epsilon_vector(instance.n)
         both = 2.0 * eps * np.abs(h)
         return MarginReport(spec.kind, lower_margin=both, upper_margin=both.copy())
 
     if spec.kind is ErrorKind.HUMAN_STATIC:
-        eps = spec.epsilon_vector(instance.n)
         _check_cap(eps, gap, "epsilon_i <= |h_i - a_i|")
         linear = 2.0 * eps * gap
         return MarginReport(
@@ -144,7 +130,6 @@ def _margins(instance, spec, dynamic) -> MarginReport:
         )
 
     if spec.kind is ErrorKind.HUMAN_LEARNING:
-        eps = spec.epsilon_vector(instance.n)
         _check_cap(eps, gap, "epsilon_i <= |h0_i - a_i|")
         weight = _learning_weight(instance, dynamic)
         linear = 2.0 * eps * gap
@@ -155,7 +140,6 @@ def _margins(instance, spec, dynamic) -> MarginReport:
         )
 
     if spec.kind is ErrorKind.TRUTH_LEARNING:
-        eps = spec.epsilon_vector(instance.n)
         _check_cap(eps, np.minimum(np.abs(a), gap), "epsilon_i <= min(|a_i|, |a_i - h0_i|)")
         weight = _learning_weight(instance, dynamic)
         quad = 1.0 / (1.0 - instance.delta) - weight  # >= 0
@@ -171,7 +155,6 @@ def _margins(instance, spec, dynamic) -> MarginReport:
         return MarginReport(spec.kind, lower_margin=lower, upper_margin=upper)
 
     if spec.kind is ErrorKind.LEARNING_SPEED:
-        eps = spec.epsilon_scalar()
         _learning_weight(instance, dynamic)  # only to insist a dynamic exists
         both = eps * instance.divergence0
         return MarginReport(spec.kind, lower_margin=both, upper_margin=both.copy())
@@ -250,16 +233,6 @@ class ValidationReport:
         }
 
 
-def _true_values(
-    instance: ProblemInstance, kind: ErrorKind, dynamic: LearningDynamic | None
-) -> np.ndarray:
-    if kind in LEARNING_KINDS:
-        if dynamic is None:
-            raise InvalidInputError("learning-setting error kinds need a dynamic")
-        return stationary_values(instance, dynamic)
-    return static_values(instance)
-
-
 def _perturbed_values(
     instance: ProblemInstance,
     kind: ErrorKind,
@@ -309,14 +282,15 @@ def validate_bound(
     if seed < 0:
         raise InvalidInputError("seed must be nonnegative")
     report = margins(instance, spec, dynamic)
-    true_vals = _true_values(instance, spec.kind, dynamic)
-    best = select_top_k(true_vals, instance.k)
-    best_total = float(np.sum(true_vals[list(best)])) if best else 0.0
+    # A noise of -0.0, the exact additive identity, gives the true values bit for bit.
+    true_vals = _perturbed_values(instance, spec.kind, dynamic, -0.0)
+    best = np.flatnonzero(top_k_mask(true_vals, instance.k)).tolist()
+    best_total = float(np.sum(true_vals[best])) if best else 0.0
 
     n = instance.n
-    scalar = spec.kind is ErrorKind.LEARNING_SPEED
-    eps = spec.epsilon_scalar() if scalar else spec.epsilon_vector(n)
-    if scalar and not np.isfinite(2.0 * eps):
+    eps = spec.epsilon_values(n)
+    scalar = eps.ndim == 0
+    if scalar and not np.isfinite(2.0 * float(eps)):
         raise InvalidInputError("epsilon is too large: the draw range 2*epsilon overflows")
     scored = []  # (gap, bound) per distinct chosen subset of each block
     trial_subset = np.empty(trials, dtype=np.intp)

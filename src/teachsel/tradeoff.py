@@ -11,7 +11,8 @@ learning-weight CDF, `inverse_weight_cdf`: in closed form under geometric
 learning, by vectorized bisection otherwise.  `all_switch_points` returns
 one `SwitchTable` row per ordered pair, and `enumerate_optimal_subsets`
 probes between consecutive pair and positivity thresholds, labeling the
-levels in blocks of rows (`_top_k_masks`) instead of a top-k per level.
+levels in blocks of rows (`_top_k_blocks`) instead of a top-k per level.
+`sweep_delta` reads its grid from the same blocks.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from .dynamics import (
 )
 from .errors import InvalidInputError
 from .model import FeatureSubset, ProblemInstance, subset_informativeness
-from .planner import (
-    optimal_stationary_sequence,
-    select_top_k,
-    stationary_values,
-    top_k_mask,
-)
+from .planner import optimal_stationary_sequence, stationary_values, top_k_mask
 
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 60
@@ -170,6 +166,21 @@ class SweepResult:
     loss: np.ndarray
 
 
+def _top_k_blocks(
+    instance: ProblemInstance, dynamic: LearningDynamic, deltas: np.ndarray
+):
+    """Stationary values and the optimal subset's mask at each of `deltas`.
+
+    Yields ``(start, values, masks)``, one row per level from row `start`
+    on, in blocks of about `PROBE_BLOCK` values, so memory stays flat
+    however many levels are probed.
+    """
+    rows = max(1, PROBE_BLOCK // max(instance.n, 1))
+    for start in range(0, deltas.size, rows):
+        values = stationary_values(instance, dynamic, deltas[start : start + rows])
+        yield start, values, top_k_mask(values, instance.k)
+
+
 def sweep_delta(
     instance: ProblemInstance, dynamic: LearningDynamic, grid
 ) -> SweepResult:
@@ -181,11 +192,15 @@ def sweep_delta(
         raise InvalidInputError("grid values must lie strictly inside (0,1)")
     if np.any(np.diff(deltas) <= 0.0):
         raise InvalidInputError("grid must be strictly increasing")
-    values = stationary_values(instance, dynamic, deltas)
-    subsets = select_top_k(values, instance.k)
+    subsets = []
+    total = np.empty(deltas.size)
+    for start, values, masks in _top_k_blocks(instance, dynamic, deltas):
+        for r, (row, mask) in enumerate(zip(values, masks), start):
+            picked = np.flatnonzero(mask)
+            subsets.append(tuple(picked.tolist()))
+            # Each row sums its gathered subset: a masked row sum can round differently.
+            total[r] = np.sum(row[picked])
     info = instance.informativeness
-    # Each row sums its gathered subset: a masked row sum can round differently.
-    total = np.array([np.sum(row[list(s)]) for row, s in zip(values, subsets)])
     return SweepResult(
         delta=deltas,
         subsets=subsets,
@@ -217,23 +232,6 @@ class IntervalTable:
         return self.lo.size
 
 
-def _top_k_masks(
-    instance: ProblemInstance, dynamic: LearningDynamic, deltas: np.ndarray
-) -> np.ndarray:
-    """The optimal subset's mask at each of `deltas`, one row per level.
-
-    Values are computed in blocks of about `PROBE_BLOCK`, so memory stays
-    flat however many levels are probed.
-    """
-    rows = max(1, PROBE_BLOCK // max(instance.n, 1))
-    masks = np.empty((deltas.size, instance.n), dtype=bool)
-    for start in range(0, deltas.size, rows):
-        block = slice(start, start + rows)
-        values = stationary_values(instance, dynamic, deltas[block])
-        masks[block] = top_k_mask(values, instance.k)
-    return masks
-
-
 def _assemble_intervals(
     instance: ProblemInstance, dynamic: LearningDynamic, boundaries: np.ndarray
 ) -> IntervalTable:
@@ -251,7 +249,9 @@ def _assemble_intervals(
     lo, hi = lo[wide], hi[wide]
     # Between neighbouring floats a midpoint can round onto 0 or 1, which are no patience levels.
     mids = np.clip(0.5 * (lo + hi), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    masks = _top_k_masks(instance, dynamic, mids)
+    masks = np.empty((mids.size, instance.n), dtype=bool)
+    for start, _, block in _top_k_blocks(instance, dynamic, mids):
+        masks[start : start + len(block)] = block
     changes = (masks[1:] != masks[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate(([True], changes)))
     subsets = [tuple(np.flatnonzero(row).tolist()) for row in masks[starts]]
@@ -378,15 +378,13 @@ def compare_efficiency_selection(
     instance: ProblemInstance,
     d1: LearningDynamic,
     d2: LearningDynamic,
-    horizon: int | None = None,
 ) -> EfficiencyComparison:
     """Check that planning under the faster learner is at least as informative.
 
     When the dynamics are incomparable no ordering is claimed
     (``ordering_holds is None``).
     """
-    kwargs = {} if horizon is None else {"horizon": horizon}
-    classification = is_more_efficient(d1, d2, **kwargs)
+    classification = is_more_efficient(d1, d2)
     plan1 = optimal_stationary_sequence(instance, d1)
     plan2 = optimal_stationary_sequence(instance, d2)
     info1 = subset_informativeness(instance, plan1.subset)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from teachsel import Exponential, ProblemInstance, Tabulated
+from teachsel.planner import top_k_mask
 
 
 @pytest.fixture
@@ -41,6 +42,12 @@ def random_instance(
     return ProblemInstance(
         a=a, c=float(rng.normal()), h0=h0, c_bar=float(rng.normal()), k=k, delta=delta
     )
+
+
+def select_top_k(values: np.ndarray, k: int) -> tuple[int, ...]:
+    """The sorted up-to-`k` features with the largest strictly positive
+    values in one row, ties toward the lower index, as a subset."""
+    return tuple(np.flatnonzero(top_k_mask(values, k)).tolist())
 
 
 def verify_search_case(rng: np.random.Generator, idx: int):

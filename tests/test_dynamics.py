@@ -1,5 +1,7 @@
 """Learning-dynamic weight curves and their discounted sums."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,8 +236,17 @@ class TestIsMoreEfficient:
         """Identical heads but a slower tail must not be called more efficient."""
         d1 = Tabulated((1.0, 0.5), tail_w=0.9)
         d2 = Tabulated((1.0, 0.5), tail_w=0.2)
-        assert is_more_efficient(d1, d2, horizon=4) is Efficiency.INCOMPARABLE
-        assert is_more_efficient(d2, d1, horizon=4) is Efficiency.MORE
+        assert is_more_efficient(d1, d2) is Efficiency.INCOMPARABLE
+        assert is_more_efficient(d2, d1) is Efficiency.MORE
+
+    def test_underflowed_curve_with_slower_tail_is_incomparable(self):
+        """`d1` reads 0.0 from m = 41, but its tail decays by 0.25 a step
+        against 0.2499, so it exceeds `d2` from m of about 1.7 million."""
+        d1 = Tabulated((1.0, 1e-300), tail_w=0.5)
+        d2 = Tabulated((1.0, 1e-10), tail_w=math.sqrt(0.2499))
+        assert d1.phi(41) == 0.0
+        assert is_more_efficient(d1, d2) is Efficiency.INCOMPARABLE
+        assert is_more_efficient(d2, d1) is Efficiency.INCOMPARABLE
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,7 +20,7 @@ from teachsel import (
     stationary_values,
 )
 
-from teachsel.planner import select_top_k, top_k_mask
+from teachsel.planner import top_k_mask
 
 from conftest import random_instance
 
@@ -237,8 +237,8 @@ class TestDiscountedBaselineLoss:
 )
 def test_row_wise_selection_matches_one_row_at_a_time(rows, k):
     values = np.array(rows)
-    expected = [select_top_k(row, k) for row in values]
-    assert select_top_k(values, k) == expected
+    expected = np.array([top_k_mask(row, k) for row in values])
+    np.testing.assert_array_equal(top_k_mask(values, k), expected)
 
 
 def argsort_top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
@@ -273,12 +273,7 @@ def rows_and_budgets(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=rows_and_budgets())
 def test_partitioned_mask_matches_stable_argsort(case):
-    """Ties, signed zeros, nan and k = 0 or k >= n, in one row or in many,
-    for the mask and for the subsets `select_top_k` reads from it."""
+    """Ties, signed zeros, nan and k = 0 or k >= n, in one row or in many."""
     values, k = case
     expected = argsort_top_k_mask(values, k)
     np.testing.assert_array_equal(top_k_mask(values, k), expected)
-    if values.ndim == 1:
-        assert select_top_k(values, k) == tuple(np.flatnonzero(expected).tolist())
-    else:
-        assert select_top_k(values, k) == [tuple(np.flatnonzero(row).tolist()) for row in expected]

@@ -1,5 +1,7 @@
 """Error margins and the aggregate selection-gap bound."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,17 @@ from teachsel import (
     Exponential,
     InvalidInputError,
     ProblemInstance,
+    Tabulated,
     aggregate_gap_bound,
     discounted_phi_sum,
     margins,
+    static_values,
+    stationary_values,
     validate_bound,
 )
-from teachsel.planner import select_top_k
-from teachsel.robustness import _perturbed_values, _true_values
+from teachsel.robustness import _perturbed_values
 
-from conftest import random_instance
+from conftest import random_instance, select_top_k
 
 ALL_KINDS = list(ErrorKind)
 
@@ -40,11 +44,11 @@ def scalar_validate(instance, spec, trials, seed, dynamic=None) -> dict:
     """Slow oracle: one draw, one top-k selection and one bound per trial,
     each trial taking the next draws of one seeded generator."""
     report = margins(instance, spec, dynamic)
-    true_vals = _true_values(instance, spec.kind, dynamic)
+    true_vals = _perturbed_values(instance, spec.kind, dynamic, -0.0)
     best = select_top_k(true_vals, instance.k)
     best_total = float(np.sum(true_vals[list(best)])) if best else 0.0
-    scalar = spec.kind is ErrorKind.LEARNING_SPEED
-    eps = spec.epsilon_scalar() if scalar else spec.epsilon_vector(instance.n)
+    eps = spec.epsilon_values(instance.n)
+    scalar = eps.ndim == 0
     gaps, bounds, ratios, violations = [], [], [], 0
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -202,6 +206,38 @@ class TestMargins:
         m_opposed = margins(opposed, spec, dyn)
         assert m_aligned.upper_margin[0] < m_opposed.upper_margin[0]
         assert m_aligned.lower_margin[0] < m_opposed.lower_margin[0]
+
+
+class TestZeroNoiseEstimate:
+    def test_zero_noise_gives_the_true_values_bitwise(self):
+        """A noise of -0.0, the exact additive identity, leaves each kind's
+        estimate at its true value bit for bit, signed zeros included.  A
+        noise of +0.0 would turn an h0 of -0.0 into +0.0."""
+        rng = np.random.default_rng(101)
+        dynamics = (Exponential(0.5), Tabulated((1.0, 0.6, 0.2), tail_w=0.7))
+        static = (ErrorKind.TRUTH_STATIC, ErrorKind.HUMAN_STATIC)
+        plus_zero_differs = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            a = rng.uniform(-1.5, 1.5, n)
+            zero = rng.random(n) < 0.3
+            a[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+            pick = rng.integers(0, 4, n)
+            h0 = np.choose(pick, [np.zeros(n), np.full(n, -0.0), a, rng.normal(0.0, 1.0, n)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                inst = ProblemInstance(
+                    a=a, c=0.0, h0=h0, c_bar=0.0, k=n, delta=float(rng.uniform(0.05, 0.95)),
+                    allow_zero_coeff=True,
+                )
+            for dyn in dynamics:
+                for kind in ALL_KINDS:
+                    want = static_values(inst) if kind in static else stationary_values(inst, dyn)
+                    got = _perturbed_values(inst, kind, dyn, -0.0)
+                    assert got.tobytes() == want.tobytes(), (kind, inst.a, inst.h0)
+                    plus = _perturbed_values(inst, kind, dyn, 0.0)
+                    plus_zero_differs += plus.tobytes() != want.tobytes()
+        assert plus_zero_differs > 0
 
 
 class TestAggregateGapBound:

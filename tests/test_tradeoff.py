@@ -27,7 +27,6 @@ from teachsel import (
     tradeoff,
 )
 from teachsel.cli import main
-from teachsel.planner import select_top_k
 from teachsel.tradeoff import (
     BISECT_MAX_ITER,
     BISECT_TOL,
@@ -35,7 +34,7 @@ from teachsel.tradeoff import (
     learning_weight_cdf,
 )
 
-from conftest import random_instance, write_scenario
+from conftest import random_instance, select_top_k, write_scenario
 
 TWO_FEATURE_THRESHOLD_W0 = 0.6051703877790834  # (2.1275 - 0.84) / 2.1275
 TWO_FEATURE_THRESHOLD_W05 = 0.6714471968709257  # 1.2875 / 1.9175
@@ -163,6 +162,33 @@ class TestSweepDelta:
             sweep_delta(two_feature_instance, Exponential(0.0), [0.0, 0.5])
         with pytest.raises(InvalidInputError):
             sweep_delta(two_feature_instance, Exponential(0.0), [])
+
+    def test_values_come_in_blocks(self, monkeypatch):
+        """Each call for stationary values covers at most one block of
+        levels, and the columns do not depend on the block size."""
+        rng = np.random.default_rng(31)
+        instance = random_instance(rng, n=7, k=3)
+        dynamic = Tabulated((1.0, 0.5, 0.5, 0.1), tail_w=0.6)
+        grid = np.linspace(0.01, 0.99, 50)
+        want = sweep_delta(instance, dynamic, grid)
+        assert len(set(want.subsets)) > 1
+        levels = []
+        real = tradeoff.stationary_values
+
+        def spy(inst, dyn, deltas=None):
+            levels.append(len(deltas))
+            return real(inst, dyn, deltas)
+
+        monkeypatch.setattr(tradeoff, "stationary_values", spy)
+        for block in (1, 2 * instance.n, 3 * instance.n + 1):
+            monkeypatch.setattr(tradeoff, "PROBE_BLOCK", block)
+            levels.clear()
+            got = sweep_delta(instance, dynamic, grid)
+            assert sum(levels) == grid.size
+            assert max(levels) <= max(1, block // instance.n), block
+            assert got.subsets == want.subsets
+            for column in ("delta", "total_value", "informativeness", "loss"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
 
 class TestEnumerateOptimalSubsets:
