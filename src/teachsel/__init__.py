@@ -14,7 +14,7 @@ from .dynamics import (
     Exponential,
     LearningDynamic,
     Tabulated,
-    discounted_phi_sum,
+    discounted_gain_sum,
     is_more_efficient,
     marginals,
     sort_marginals_dynamic,
@@ -100,7 +100,7 @@ __all__ = [
     "all_switch_points",
     "compare_efficiency_selection",
     "discounted_baseline_loss",
-    "discounted_phi_sum",
+    "discounted_gain_sum",
     "enumerate_optimal_subsets",
     "exhaustive_prefix_search",
     "inverse_weight_cdf",

@@ -3,14 +3,15 @@
 A dynamic is described by a weight curve ``phi`` with ``phi(0) = 1``,
 nonincreasing, and ``phi(m) -> 0``: after a feature has been revealed
 ``m`` times, the human's squared divergence on it is ``phi(m)`` times the
-initial squared divergence.  Every discounted quantity in the planner
-reduces to sums of the form ``sum_t delta^t * phi(t + offset)``, which both
-supported families admit in closed form.
+initial squared divergence.  Every curve is a table and a geometric tail.
+Patience and learning meet in one sum, the discounted learning gain
+``G_m(delta) = sum_t delta^t * (1 - phi(t + m))`` of `discounted_gain_sum`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,30 @@ from .errors import InvalidInputError
 DEFAULT_HORIZON = 64
 
 
+class _Curve:
+    """A weight curve read from its `table` and `tail_retention`: ``phi(m)``
+    is ``table[m]`` inside the table and decays by ``tail_retention**2`` a
+    step beyond it."""
+
+    def phi(self, m: int) -> float:
+        if m < 0:
+            raise InvalidInputError("observation count must be nonnegative")
+        last = len(self.table) - 1
+        if m <= last:
+            return self.table[m]
+        return self.table[-1] * self.tail_retention ** (2 * (m - last))
+
+    @property
+    def step_decay(self) -> float:
+        """Per-step multiplicative decay of phi beyond the table."""
+        return self.tail_retention**2
+
+    def converges(self) -> bool:
+        return self.tail_retention < 1.0 or self.table[-1] == 0.0
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Curve):
     """Geometric forgetting of the initial belief: ``phi(m) = w**(2m)``.
 
     `w` is the retention factor of the update rule
@@ -29,46 +52,20 @@ class Exponential:
     """
 
     w: float
+    table = (1.0,)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "w", float(self.w))
         if not 0.0 <= self.w <= 1.0:
             raise InvalidInputError(f"retention w={self.w} outside [0, 1]")
 
-    def phi(self, m: int) -> float:
-        if m < 0:
-            raise InvalidInputError("observation count must be nonnegative")
-        return 1.0 if m == 0 else self.w ** (2 * m)
-
-    def discounted_phi_sum(self, delta, offset: int = 0):
-        """Closed form ``w^(2*offset) / (1 - delta*w^2)``; broadcasts over delta."""
-        _check_delta(delta)
-        if offset < 0:
-            raise InvalidInputError("offset must be nonnegative")
-        lead = 1.0 if offset == 0 else self.w ** (2 * offset)
-        out = lead / (1.0 - np.asarray(delta, dtype=float) * self.w**2)
-        return float(out) if np.ndim(delta) == 0 else out
-
     @property
     def tail_retention(self) -> float:
-        """Per-step retention of the curve beyond any horizon."""
         return self.w
-
-    @property
-    def step_decay(self) -> float:
-        """Per-step multiplicative decay of phi beyond any horizon."""
-        return self.w**2
-
-    @property
-    def table(self) -> tuple[float, ...]:
-        return (1.0,)
-
-    def converges(self) -> bool:
-        return self.w < 1.0
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Curve):
     """Explicit leading weights plus a geometric tail.
 
     ``phi(m) = values[m]`` inside the table; beyond it
@@ -95,62 +92,47 @@ class Tabulated:
         if not 0.0 <= self.tail_w < 1.0:
             raise InvalidInputError(f"tail_w={self.tail_w} outside [0, 1)")
 
-    def phi(self, m: int) -> float:
-        if m < 0:
-            raise InvalidInputError("observation count must be nonnegative")
-        last = len(self.values) - 1
-        if m <= last:
-            return self.values[m]
-        return self.values[-1] * self.tail_w ** (2 * (m - last))
-
-    def discounted_phi_sum(self, delta, offset: int = 0):
-        """Table terms summed directly, geometric tail in closed form."""
-        _check_delta(delta)
-        if offset < 0:
-            raise InvalidInputError("offset must be nonnegative")
-        d = np.asarray(delta, dtype=float)
-        last = len(self.values) - 1
-        total = np.zeros_like(d)
-        for t in range(max(0, last - offset + 1)):
-            total = total + d**t * self.values[t + offset]
-        t0 = max(0, last - offset + 1)
-        lead = self.values[-1] * self.tail_w ** (2 * (t0 + offset - last))
-        total = total + d**t0 * lead / (1.0 - d * self.tail_w**2)
-        if np.ndim(delta) == 0:
-            return float(total)
-        return total
+    @property
+    def table(self) -> tuple[float, ...]:
+        return self.values
 
     @property
     def tail_retention(self) -> float:
         return self.tail_w
 
-    @property
-    def step_decay(self) -> float:
-        return self.tail_w**2
-
-    @property
-    def table(self) -> tuple[float, ...]:
-        return self.values
-
-    def converges(self) -> bool:
-        return True
-
 
 LearningDynamic = Exponential | Tabulated
 
 
-def _check_delta(delta) -> None:
+def discounted_gain_sum(dynamic: LearningDynamic, delta, offset: int = 0):
+    """``G_m(delta) = sum_{t>=0} delta^t * (1 - phi(t + m))`` for ``m = offset``,
+    broadcast over a scalar or an array of delta; ``0 <= G <= 1/(1 - delta)``.
+
+    Table terms are summed directly.  From the first step ``t0`` past the
+    table, ``phi = L * r**s`` with ``r = w**2``, and the tail sums to
+    ``delta^t0 * ((1 - L)(1 - delta) + delta(1 - r)) /
+    ((1 - delta)((1 - delta) + delta(1 - r)))``, with ``1 - r`` as
+    ``(1 - w)(1 + w)`` and ``1 - L`` from ``expm1``.  No term is negative,
+    so nothing cancels.
+    """
     d = np.asarray(delta, dtype=float)
     if not np.all((d > 0.0) & (d < 1.0)):
         raise InvalidInputError("delta must lie strictly inside (0,1)")
-
-
-def discounted_phi_sum(dynamic: LearningDynamic, delta, offset: int = 0):
-    """``sum_{t>=0} delta^t * phi(t + offset)``, exact via closed forms.
-
-    Accepts a scalar or an array of delta values (broadcast elementwise).
-    """
-    return dynamic.discounted_phi_sum(delta, offset)
+    if offset < 0:
+        raise InvalidInputError("offset must be nonnegative")
+    d = float(d) if d.ndim == 0 else d  # a float is ten times faster than a 0-d array
+    table, w = dynamic.table, dynamic.tail_retention
+    last = len(table) - 1
+    t0 = max(0, last - offset + 1)
+    total = 1.0 - table[offset] if t0 else 0.0  # the t = 0 term
+    for t in range(1, t0):
+        total = total + d**t * (1.0 - table[t + offset])
+    # L = phi(t0 + offset) = p * w**(2j), with j >= 1 steps into the tail.
+    p, j = table[-1], t0 + offset - last
+    learned = 1.0 if w == 0.0 else (1.0 - p) + p * -math.expm1(2 * j * math.log(w))
+    rest, decay_gap = 1.0 - d, d * ((1.0 - w) * (1.0 + w))
+    total = total + d**t0 * (learned * rest + decay_gap) / (rest * (rest + decay_gap))
+    return total
 
 
 def marginals(dynamic: LearningDynamic, horizon: int = DEFAULT_HORIZON) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here exists to check the planner from the outside: losses are
 summed term by term from simulated belief trajectories wherever possible,
-and small instances are searched exactly over every bounded prefix.
+and small instances are searched exactly over every bounded prefix.  A
+feature seen `m` times before is worth ``static + (1 - phi(m)) * div`` at
+one step, and ``static / (1 - delta) + G_m * div`` repeated forever.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import LearningDynamic, discounted_phi_sum
+from .dynamics import LearningDynamic, discounted_gain_sum
 from .errors import InvalidInputError, VerificationError
-from .model import FeatureSubset, ProblemInstance, mse, normalize_subset
+from .model import FeatureSubset, ProblemInstance, mse, normalize_subset, static_values
 from .planner import optimal_stationary_sequence, top_k_mask
 
 DEFAULT_TOL = 1e-9
@@ -135,8 +137,8 @@ def sequence_loss(
     tail_mse = (instance.c - instance.c_bar) ** 2 / (1.0 - delta)
     tail_mse += float(np.sum(instance.informativeness[~inside])) / (1.0 - delta)
     for i in seq.tail:
-        weight = discounted_phi_sum(dynamic, delta, offset=int(counts[i]))
-        tail_mse += weight * float(instance.divergence0[i])
+        gain = discounted_gain_sum(dynamic, delta, offset=int(counts[i]))
+        tail_mse += (1.0 / (1.0 - delta) - gain) * float(instance.divergence0[i])
     return total + delta**T * tail_mse
 
 
@@ -148,24 +150,25 @@ def sequence_value(
     """Discounted improvement of `sequence` over never revealing anything.
 
     Computed from the per-feature value decomposition
-    ``sum_t delta^t sum_{i in A_t} (a_i^2 - phi(m_i(t)) * (a_i - h0_i)^2)``,
+    ``sum_t delta^t sum_{i in A_t} (static_i + (1 - phi(m_i(t))) * div_i)``,
+    with ``static_i = 2*a_i*h0_i - h0_i^2`` and ``div_i = (a_i - h0_i)^2``,
     independently of `sequence_loss`.
     """
     seq = sequence.validated(instance)
     delta = instance.delta
-    info = instance.informativeness
+    static = static_values(instance)
     div = instance.divergence0
 
     total = 0.0
     counts = np.zeros(instance.n, dtype=int)
     for t, subset in enumerate(seq.prefix):
         for i in subset:
-            total += delta**t * (info[i] - dynamic.phi(int(counts[i])) * div[i])
+            total += delta**t * (static[i] + (1.0 - dynamic.phi(int(counts[i]))) * div[i])
             counts[i] += 1
     T = len(seq.prefix)
     for i in seq.tail:
-        weight = discounted_phi_sum(dynamic, delta, offset=int(counts[i]))
-        total += delta**T * (info[i] / (1.0 - delta) - weight * div[i])
+        gain = discounted_gain_sum(dynamic, delta, offset=int(counts[i]))
+        total += delta**T * (static[i] / (1.0 - delta) + gain * div[i])
     return float(total)
 
 
@@ -217,7 +220,7 @@ def exhaustive_prefix_search(
 
     n, k = instance.n, instance.k
     delta = instance.delta
-    info, div = instance.informativeness, instance.divergence0
+    static, div = static_values(instance), instance.divergence0
     # Ascending tuple order: extending prefixes taken in ascending order
     # yields the next step's prefixes in ascending order too.
     subsets = sorted(_all_subsets(n, k))
@@ -233,11 +236,10 @@ def exhaustive_prefix_search(
     codes = observed[:, :n] @ (prefix_length + 1) ** np.arange(n)
 
     # A feature can be observed at most prefix_length times before the tail,
-    # so every phi value and offset tail weight the search needs is one of
-    # these.
-    phis = np.array([dynamic.phi(m) for m in range(prefix_length + 1)])
-    tail_weights = np.array(
-        [discounted_phi_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)]
+    # so every learning gain the search needs is one of these.
+    gains = 1.0 - np.array([dynamic.phi(m) for m in range(prefix_length + 1)])
+    tail_gains = np.array(
+        [discounted_gain_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)]
     )
     discounts = [delta**t for t in range(prefix_length + 1)]
 
@@ -247,7 +249,7 @@ def exhaustive_prefix_search(
     parents, choices = [], []
     for t in range(prefix_length):
         terms = np.zeros((n + 1, t + 1))
-        terms[:n] = discounts[t] * (info[:, None] - phis[: t + 1] * div[:, None])
+        terms[:n] = discounts[t] * (static[:, None] + gains[: t + 1] * div[:, None])
         v = np.repeat(values[:, None], len(subsets), axis=1)
         for j in range(k):
             v += terms[members[:, j], counts[:, members[:, j]]]
@@ -271,7 +273,7 @@ def exhaustive_prefix_search(
         values = v[kept]
         states = cand_states[kept]
 
-    tail_values = info * (1.0 / (1.0 - delta)) - tail_weights[counts[:, :n]] * div
+    tail_values = static / (1.0 - delta) + tail_gains[counts[:, :n]] * div
     tails = top_k_mask(tail_values, k)
     # Members in ascending index order from 0.0, as Python's sum adds them.
     gain = np.zeros(values.size)

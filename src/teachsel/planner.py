@@ -4,12 +4,13 @@ Both planners reduce to the same n-log-n recipe: score every feature
 independently, sort, and keep the best strictly-positive scores up to the
 budget.  With fixed beliefs the score is the static value
 ``2*a_i*h_i - h_i^2``.  With a learning human, an optimal infinite plan can
-always be taken to repeat one subset forever, scored per feature by
+always be taken to repeat one subset forever, scored per feature by its
+static value repeated forever plus the discounted learning gain on its
+initial divergence:
 
-    value_i = a_i^2 / (1 - delta) - W * (a_i - h0_i)^2
+    value_i = (2*a_i*h0_i - h0_i^2) / (1 - delta) + G * (a_i - h0_i)^2
 
-where ``W = sum_t delta^t * phi(t)`` is the discounted weight the learning
-curve leaves on the initial divergence.
+where ``G = sum_t delta^t * (1 - phi(t))`` is `discounted_gain_sum`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import LearningDynamic, discounted_phi_sum
+from .dynamics import LearningDynamic, discounted_gain_sum
 from .model import FeatureSubset, ProblemInstance, as_beliefs, static_values
 
 NEAR_TIE_RTOL = 1e-12
@@ -123,8 +124,8 @@ def stationary_values(
     """Stationary per-feature values at the instance's delta, or at each of
     `deltas` (one row per patience level)."""
     d = instance.delta if deltas is None else np.asarray(deltas, dtype=float)[:, None]
-    weight = discounted_phi_sum(dynamic, d)
-    return instance.informativeness / (1.0 - d) - weight * instance.divergence0
+    gain = discounted_gain_sum(dynamic, d)
+    return static_values(instance) / (1.0 - d) + gain * instance.divergence0
 
 
 def optimal_stationary_sequence(

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import LearningDynamic, discounted_phi_sum
+from .dynamics import LearningDynamic, discounted_gain_sum
 from .errors import InvalidInputError
 from .model import ProblemInstance, normalize_subset
 from .planner import top_k_mask
@@ -90,12 +90,12 @@ def _check_cap(eps: np.ndarray, cap: np.ndarray, inequality: str) -> None:
         )
 
 
-def _learning_weight(
+def _learning_gain(
     instance: ProblemInstance, dynamic: LearningDynamic | None
 ) -> float:
     if dynamic is None:
         raise InvalidInputError("learning-setting error kinds need a dynamic")
-    return discounted_phi_sum(dynamic, instance.delta)
+    return discounted_gain_sum(dynamic, instance.delta)
 
 
 def margins(
@@ -131,7 +131,8 @@ def _margins(instance, spec, dynamic) -> MarginReport:
 
     if spec.kind is ErrorKind.HUMAN_LEARNING:
         _check_cap(eps, gap, "epsilon_i <= |h0_i - a_i|")
-        weight = _learning_weight(instance, dynamic)
+        # The discounted weight sum_t delta^t phi(t) left on the divergence.
+        weight = 1.0 / (1.0 - instance.delta) - _learning_gain(instance, dynamic)
         linear = 2.0 * eps * gap
         return MarginReport(
             spec.kind,
@@ -141,9 +142,8 @@ def _margins(instance, spec, dynamic) -> MarginReport:
 
     if spec.kind is ErrorKind.TRUTH_LEARNING:
         _check_cap(eps, np.minimum(np.abs(a), gap), "epsilon_i <= min(|a_i|, |a_i - h0_i|)")
-        weight = _learning_weight(instance, dynamic)
-        quad = 1.0 / (1.0 - instance.delta) - weight  # >= 0
-        lin = 2.0 * np.abs(a / (1.0 - instance.delta) - weight * (a - h))
+        quad = _learning_gain(instance, dynamic)
+        lin = 2.0 * np.abs(h / (1.0 - instance.delta) + quad * (a - h))
         upper = quad * eps**2 + lin * eps
         # The downward deviation lin*e - quad*e^2 over error magnitudes
         # e <= eps peaks at the parabola vertex; past it the worst case is
@@ -155,7 +155,7 @@ def _margins(instance, spec, dynamic) -> MarginReport:
         return MarginReport(spec.kind, lower_margin=lower, upper_margin=upper)
 
     if spec.kind is ErrorKind.LEARNING_SPEED:
-        _learning_weight(instance, dynamic)  # only to insist a dynamic exists
+        _learning_gain(instance, dynamic)  # only to insist a dynamic exists
         both = eps * instance.divergence0
         return MarginReport(spec.kind, lower_margin=both, upper_margin=both.copy())
 
@@ -239,23 +239,23 @@ def _perturbed_values(
     dynamic: LearningDynamic | None,
     noise: np.ndarray | float,
 ) -> np.ndarray:
-    a = instance.a
-    h = instance.h0
-    delta = instance.delta
-    if kind is ErrorKind.TRUTH_STATIC:
-        return 2.0 * (a + noise) * h - h**2
-    if kind is ErrorKind.HUMAN_STATIC:
-        hp = h + noise
-        return 2.0 * a * hp - hp**2
-    weight = _learning_weight(instance, dynamic)
-    if kind is ErrorKind.HUMAN_LEARNING:
-        return instance.informativeness / (1.0 - delta) - weight * (a - (h + noise)) ** 2
-    if kind is ErrorKind.TRUTH_LEARNING:
-        ap = a + noise
-        return ap**2 / (1.0 - delta) - weight * (ap - h) ** 2
+    """The planner's value estimates when `noise` moves what `kind` names:
+    the true coefficients, the human's beliefs, or the learning gain."""
+    a, h = instance.a, instance.h0
+    if kind in (ErrorKind.TRUTH_STATIC, ErrorKind.TRUTH_LEARNING):
+        a = a + noise
+    elif kind in (ErrorKind.HUMAN_STATIC, ErrorKind.HUMAN_LEARNING):
+        h = h + noise
+    static = 2.0 * a * h - h**2
+    if kind in (ErrorKind.TRUTH_STATIC, ErrorKind.HUMAN_STATIC):
+        return static
+    gain = _learning_gain(instance, dynamic)
     if kind is ErrorKind.LEARNING_SPEED:
-        return instance.informativeness / (1.0 - delta) - (weight + noise) * instance.divergence0
-    raise InvalidInputError(f"unknown error kind {kind!r}")
+        # An error of +noise in the discounted weight is one of -noise in the gain.
+        gain = gain - noise
+    # In place: with one row per trial, a copy would be one more large temporary.
+    static /= 1.0 - instance.delta
+    return static + gain * (a - h) ** 2
 
 
 def validate_bound(

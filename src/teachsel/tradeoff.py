@@ -7,7 +7,8 @@ This module locates those thresholds, sweeps patience and learning-rate
 grids, and enumerates every subset that is optimal somewhere in (0, 1).
 
 Every threshold, under any dynamic, comes from one inverse of the
-learning-weight CDF, `inverse_weight_cdf`: in closed form under geometric
+learning-weight CDF ``F(delta) = (1 - delta) * G(delta)``, with ``G`` from
+`discounted_gain_sum`: `inverse_weight_cdf`, in closed form under geometric
 learning, by vectorized bisection otherwise.  `all_switch_points` returns
 one `SwitchTable` row per ordered pair, and `enumerate_optimal_subsets`
 probes between consecutive pair and positivity thresholds, labeling the
@@ -25,7 +26,7 @@ from .dynamics import (
     Efficiency,
     Exponential,
     LearningDynamic,
-    discounted_phi_sum,
+    discounted_gain_sum,
     is_more_efficient,
 )
 from .errors import InvalidInputError
@@ -61,30 +62,23 @@ class SwitchTable:
         return np.where(np.isnan(self.threshold), ALWAYS_PREFERRED, THRESHOLD).tolist()
 
 
-def learning_weight_cdf(dynamic: LearningDynamic, delta):
-    """``F(delta) = sum_{t>=1} delta^t * (phi(t-1) - phi(t))``.
-
-    The discounted mass of learning gains: strictly increasing from 0
-    toward 1 as patience grows, for any convergent dynamic.  Broadcasts
-    over an array of delta.
-    """
-    return 1.0 - (1.0 - delta) * discounted_phi_sum(dynamic, delta)
-
-
 def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
-    """The delta with ``learning_weight_cdf(delta) == target`` for each of a
-    1-d array of `targets` in (0, 1).
+    """The delta with ``F(delta) == target`` for each of a 1-d array of
+    `targets` in (0, 1).  ``F(delta) = (1 - delta) * G(delta)``, the
+    discounted mass of learning gains, rises strictly from 0 toward 1 with
+    patience for any convergent dynamic.
 
-    Under geometric learning ``F(delta) = 1 - (1 - delta)/(1 - delta*w^2)``
-    inverts exactly to ``t / (1 - w^2*(1 - t))``.  Any other dynamic is
-    bisected from the bracket [0, 1] (F(0) = 0 and F(1) = 1 for convergent
-    dynamics), on every element at once.  Each element takes the steps a
-    scalar loop would, and stops once its bracket is narrower than
+    Under geometric learning ``F(delta) = delta(1 - w^2)/(1 - delta*w^2)``
+    inverts exactly to ``t / ((1 - w)(1 + w) + w^2*t)``.  Any other dynamic
+    is bisected from the bracket [0, 1] (F(0) = 0 and F(1) = 1 for
+    convergent dynamics), on every element at once.  Each element takes the
+    steps a scalar loop would, and stops once its bracket is narrower than
     `BISECT_TOL`, or after `BISECT_MAX_ITER` steps.
     """
     targets = np.asarray(targets, dtype=float)
     if isinstance(dynamic, Exponential):
-        return targets / (1.0 - dynamic.w**2 * (1.0 - targets))
+        w = dynamic.w
+        return targets / ((1.0 - w) * (1.0 + w) + w**2 * targets)
     lo = np.zeros(targets.shape)
     hi = np.ones(targets.shape)
     for _ in range(BISECT_MAX_ITER):
@@ -92,7 +86,7 @@ def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        below = learning_weight_cdf(dynamic, mid) < targets[live]
+        below = (1.0 - mid) * discounted_gain_sum(dynamic, mid) < targets[live]
         lo[live[below]] = mid[below]
         hi[live[~below]] = mid[~below]
     return 0.5 * (lo + hi)

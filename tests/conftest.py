@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,3 +86,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(lines):
             terminalreporter.write_line(line)
+
+
+def exact_weight(dynamic, delta, offset: int = 0) -> Fraction:
+    """``W_m = sum_t delta^t * phi(t + m)`` in exact rationals, from the
+    table and the geometric tail's closed form ``L / (1 - delta * w^2)``."""
+    d, w = Fraction(delta), Fraction(dynamic.tail_retention)
+    table = [Fraction(v) for v in dynamic.table]
+    last = len(table) - 1
+    head = sum((d**t * table[t + offset] for t in range(max(0, last - offset + 1))), Fraction(0))
+    t0 = max(0, last - offset + 1)
+    lead = table[-1] * w ** (2 * (t0 + offset - last))
+    return head + d**t0 * lead / (1 - d * w * w)
+
+
+def exact_gain(dynamic, delta, offset: int = 0) -> Fraction:
+    """``G_m = 1/(1 - delta) - W_m``, exactly."""
+    return 1 / (1 - Fraction(delta)) - exact_weight(dynamic, delta, offset)
+
+
+def ulps_off(got: float, exact: Fraction) -> float:
+    """The relative error of `got` against `exact`, in units of 2**-52."""
+    if exact == 0:
+        return 0.0 if got == 0.0 else math.inf
+    return float(abs(Fraction(got) - exact) / abs(exact)) / 2.0**-52

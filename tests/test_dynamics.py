@@ -1,4 +1,4 @@
-"""Learning-dynamic weight curves and their discounted sums."""
+"""Learning-dynamic weight curves and their discounted learning gains."""
 
 import math
 
@@ -12,33 +12,53 @@ from teachsel import (
     Exponential,
     InvalidInputError,
     Tabulated,
-    discounted_phi_sum,
+    discounted_gain_sum,
     is_more_efficient,
     marginals,
     sort_marginals_dynamic,
 )
 
+from conftest import exact_gain, ulps_off
+
 
 def reference_sum(dynamic, delta: float, offset: int = 0) -> float:
-    """Plain term-by-term summation using only phi(); independent oracle."""
+    """Plain term-by-term summation of ``1 - phi``; independent oracle.
+    Stops once every later term together is below 1e-14 of the sum."""
     total, t = 0.0, 0
     while delta**t / (1.0 - delta) >= 1e-14 * (abs(total) + 1.0):
-        total += delta**t * dynamic.phi(t + offset)
+        total += delta**t * (1.0 - dynamic.phi(t + offset))
         t += 1
     return total
 
 
 def truncated_sum(dynamic, delta: float, offset: int = 0, tol: float = 1e-13) -> float:
-    """Term-by-term summation with a certified geometric remainder bound;
-    independent oracle.  Stops at the first index T where
-    ``delta^T * phi(T+offset) / (1-delta) < tol * (sum + 1e-300)``."""
+    """Term-by-term summation with a certified remainder; independent oracle.
+
+    ``1 - phi`` is nondecreasing, so the terms after index T sum to between
+    ``delta^(T+1) * (1 - phi(T+1+offset)) / (1-delta)`` and
+    ``delta^(T+1) / (1-delta)``.  Adds the lower end, and stops at the first
+    T where that bracket, ``delta^(T+1) * phi(T+1+offset) / (1-delta)``, is
+    below ``tol * (sum + 1e-300)``."""
     total, t = 0.0, 0
     while True:
-        total += delta**t * dynamic.phi(t + offset)
-        remainder = delta ** (t + 1) * dynamic.phi(t + 1 + offset) / (1.0 - delta)
-        if remainder < tol * (total + 1e-300):
-            return total
+        total += delta**t * (1.0 - dynamic.phi(t + offset))
+        head = delta ** (t + 1) / (1.0 - delta)
+        if head * dynamic.phi(t + 1 + offset) < tol * (total + 1e-300):
+            return total + head * (1.0 - dynamic.phi(t + 1 + offset))
         t += 1
+
+
+EDGE = (1e-9, 1.0 - 1e-9)
+EDGE_DYNAMICS = (
+    *(Exponential(w) for w in (0.0, *EDGE, 0.5, 1.0)),
+    *(
+        Tabulated(values, tail_w=w)
+        for values in (
+            (1.0,), (1.0, 1.0, 1.0), (1.0, 1.0, 0.5, 0.5), (1.0, 1.0 - 1e-9), (1.0, 0.0)
+        )
+        for w in (0.0, *EDGE)
+    ),
+)
 
 
 class TestPhi:
@@ -92,14 +112,19 @@ class TestPhi:
 
 
 class TestDiscountedPhiSum:
+    """The discounted sum of the weight curve's gains, `discounted_gain_sum`."""
+
     def test_exponential_closed_form_value(self):
-        assert discounted_phi_sum(Exponential(0.5), 0.9) == pytest.approx(
-            1.2903225806451613, abs=1e-12
+        # delta * (1 - w^2) / ((1 - delta) * (1 - delta * w^2)) = 0.675 / 0.0775
+        assert discounted_gain_sum(Exponential(0.5), 0.9) == pytest.approx(
+            8.709677419354839, abs=1e-12
         )
 
-    def test_one_step_learner_keeps_only_first_term(self):
+    def test_one_step_learner_gains_from_the_second_step_on(self):
         for delta in (0.1, 0.5, 0.99):
-            assert discounted_phi_sum(Exponential(0.0), delta) == 1.0
+            assert discounted_gain_sum(Exponential(0.0), delta) == pytest.approx(
+                delta / (1.0 - delta), rel=4 * 2.0**-52
+            )
 
     def test_tabulated_matches_equivalent_exponential(self):
         """A table holding (1, r, r^2) with tail retention sqrt(r) is the
@@ -109,8 +134,8 @@ class TestDiscountedPhiSum:
         exp = Exponential(w)
         for delta in (0.1, 0.5, 0.9, 0.99):
             for offset in (0, 1, 3, 7):
-                assert discounted_phi_sum(tab, delta, offset) == pytest.approx(
-                    discounted_phi_sum(exp, delta, offset), abs=1e-10
+                assert discounted_gain_sum(tab, delta, offset) == pytest.approx(
+                    discounted_gain_sum(exp, delta, offset), abs=1e-10
                 )
 
     def test_closed_forms_match_termwise_oracle(self):
@@ -127,7 +152,7 @@ class TestDiscountedPhiSum:
                     (1.0, *vals.tolist()), tail_w=float(rng.uniform(0, 0.95))
                 )
             expected = reference_sum(dyn, delta, offset)
-            assert discounted_phi_sum(dyn, delta, offset) == pytest.approx(
+            assert discounted_gain_sum(dyn, delta, offset) == pytest.approx(
                 expected, abs=1e-10
             )
             assert truncated_sum(dyn, delta, offset) == pytest.approx(
@@ -139,23 +164,34 @@ class TestDiscountedPhiSum:
         for _ in range(100):
             delta = float(rng.uniform(0.05, 0.95))
             dyn = Exponential(float(rng.uniform(0, 0.99)))
-            sums = [discounted_phi_sum(dyn, delta, off) for off in range(6)]
-            assert all(0.0 < s <= 1.0 / (1.0 - delta) + 1e-12 for s in sums)
-            assert all(b <= a + 1e-12 for a, b in zip(sums, sums[1:]))
+            sums = [discounted_gain_sum(dyn, delta, off) for off in range(6)]
+            assert all(0.0 <= s <= 1.0 / (1.0 - delta) for s in sums)
+            assert all(b >= a for a, b in zip(sums, sums[1:]))
 
     def test_vectorized_over_delta(self):
         deltas = np.array([0.2, 0.5, 0.9])
         for dyn in (Exponential(0.5), Tabulated((1.0, 0.6, 0.2), tail_w=0.4)):
-            out = discounted_phi_sum(dyn, deltas)
+            out = discounted_gain_sum(dyn, deltas)
             np.testing.assert_allclose(
-                out, [discounted_phi_sum(dyn, d) for d in deltas], atol=1e-14
+                out, [discounted_gain_sum(dyn, d) for d in deltas], atol=1e-14
             )
 
     def test_delta_bounds_enforced(self):
         with pytest.raises(InvalidInputError):
-            discounted_phi_sum(Exponential(0.5), 1.0)
+            discounted_gain_sum(Exponential(0.5), 1.0)
         with pytest.raises(InvalidInputError):
-            discounted_phi_sum(Exponential(0.5), 0.0)
+            discounted_gain_sum(Exponential(0.5), 0.0)
+
+    @pytest.mark.parametrize("dynamic", EDGE_DYNAMICS, ids=repr)
+    def test_exact_at_the_edges(self, dynamic):
+        """Within a few ulps of the rational value, also where patience or
+        retention is within 1e-9 of 0 or 1 and the curve has plateaus."""
+        for delta in (*EDGE, 0.5):
+            for offset in (0, 1, 2, 5):
+                got = discounted_gain_sum(dynamic, delta, offset)
+                assert ulps_off(got, exact_gain(dynamic, delta, offset)) <= 4, (delta, offset)
+            got = discounted_gain_sum(dynamic, np.array([delta]))[0]
+            assert ulps_off(got, exact_gain(dynamic, delta)) <= 4, delta
 
 
 class TestMarginals:
@@ -256,9 +292,9 @@ class TestIsMoreEfficient:
     offset=st.integers(min_value=0, max_value=10),
 )
 def test_discounted_sum_bounds_property(w, delta, offset):
-    """The discounted weight sum stays within [0, 1/(1-delta)], strictly
-    positive with no offset (phi(0) = 1 always contributes)."""
-    total = discounted_phi_sum(Exponential(w), delta, offset)
+    """The discounted learning gain stays within [0, 1/(1-delta)], and
+    within [0, delta/(1-delta)] with no offset (phi(0) = 1 gains nothing)."""
+    total = discounted_gain_sum(Exponential(w), delta, offset)
     assert 0.0 <= total <= 1.0 / (1.0 - delta) + 1e-9
     if offset == 0:
-        assert total >= 1.0
+        assert total <= delta / (1.0 - delta) + 1e-9

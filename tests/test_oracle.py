@@ -3,10 +3,11 @@
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teachsel import (
@@ -16,16 +17,17 @@ from teachsel import (
     SelectionSequence,
     Tabulated,
     discounted_baseline_loss,
-    discounted_phi_sum,
+    discounted_gain_sum,
     exhaustive_prefix_search,
     mse,
     optimal_stationary_sequence,
     sequence_loss,
     sequence_value,
     simulate_beliefs,
+    static_values,
 )
 
-from conftest import random_instance, verify_search_case
+from conftest import exact_gain, random_instance, ulps_off, verify_search_case
 from teachsel.oracle import _all_subsets
 
 
@@ -271,14 +273,13 @@ def enumerated_prefix_search(instance, dynamic, prefix_length):
     """
     n, k = instance.n, instance.k
     delta = instance.delta
-    info = instance.informativeness.tolist()
+    static = static_values(instance).tolist()
     div = instance.divergence0.tolist()
-    phis = [dynamic.phi(m) for m in range(prefix_length + 1)]
-    tail_weights = [
-        discounted_phi_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)
+    gains = [1.0 - dynamic.phi(m) for m in range(prefix_length + 1)]
+    tail_gains = [
+        discounted_gain_sum(dynamic, delta, offset=m) for m in range(prefix_length + 1)
     ]
     discounts = [delta**t for t in range(prefix_length + 1)]
-    horizon_mass = 1.0 / (1.0 - delta)
 
     best_value = -np.inf
     best_seq = SelectionSequence.all_empty()
@@ -287,10 +288,10 @@ def enumerated_prefix_search(instance, dynamic, prefix_length):
         value = 0.0
         for t, subset in enumerate(prefix):
             for i in subset:
-                value += discounts[t] * (info[i] - phis[counts[i]] * div[i])
+                value += discounts[t] * (static[i] + gains[counts[i]] * div[i])
                 counts[i] += 1
         tail_values = [
-            info[i] * horizon_mass - tail_weights[counts[i]] * div[i]
+            static[i] / (1.0 - delta) + tail_gains[counts[i]] * div[i]
             for i in range(n)
         ]
         order = sorted(range(n), key=lambda i: (-tail_values[i], i))
@@ -346,9 +347,43 @@ def search_cases(draw):
     return instance, dynamic, draw(st.integers(0, 4))
 
 
+# h0 = 0 under a learner that never learns: every value is exactly 0.
+WORTHLESS = ProblemInstance(a=[0.875, 0.875], c=0.0, h0=[0.0, 0.0], c_bar=0.0, k=2, delta=0.9999)
+
+
+class TestExactAtTheEdges:
+    def test_a_worthless_plan_is_worth_exactly_zero(self):
+        """The planner and the search agree that nothing is worth showing."""
+        dyn = Exponential(1.0)
+        plan = optimal_stationary_sequence(WORTHLESS, dyn)
+        assert plan.values.tolist() == [0.0, 0.0]
+        assert (plan.subset, plan.total_value) == ((), 0.0)
+        for length in range(3):
+            assert exhaustive_prefix_search(WORTHLESS, dyn, length)[1] == 0.0
+
+    def test_patience_and_retention_near_one(self):
+        """At delta = w = 1 - 1e-9 the planner, the search and
+        `sequence_value` all land within a few ulps of the rational total."""
+        delta = w = 1.0 - 1e-9
+        inst = ProblemInstance(
+            a=[1.0, 1.0, 1.0, 0.5], c=0.0, h0=[1.0, 0.0, 0.0, 0.5], c_bar=0.0, k=2, delta=delta
+        )
+        dyn = Exponential(w)
+        # Feature 0 is known (worth 1/(1 - delta)); feature 1 is worth its gain.
+        exact = 1 / (1 - Fraction(delta)) + exact_gain(dyn, delta)
+        plan = optimal_stationary_sequence(inst, dyn)
+        assert plan.subset == (0, 1)
+        assert ulps_off(plan.total_value, exact) <= 4
+        for length in range(3):
+            assert ulps_off(exhaustive_prefix_search(inst, dyn, length)[1], exact) <= 4
+        value = sequence_value(inst, dyn, SelectionSequence.stationary(plan.subset))
+        assert ulps_off(value, exact) <= 4
+
+
 class TestSearchMatchesEnumeration:
     @settings(max_examples=120, deadline=None)
     @given(case=search_cases())
+    @example(case=(WORTHLESS, Exponential(1.0), 0))
     def test_same_sequence_and_value_bits(self, case):
         instance, dynamic, prefix_length = case
         expected_seq, expected_value = enumerated_prefix_search(
@@ -385,14 +420,14 @@ class TestSearchMatchesEnumeration:
         # keeps the smaller prefix.  A search that kept only the larger value
         # per count vector would return the other one.
         inst = ProblemInstance(
-            a=[1.217596867500203, -0.5404444483533197, 1.217596867500203,
-               -1.0338888103465524],
+            a=[-1.0372948840919274, 0.9344668089872927, -1.0372948840919274,
+               -1.3484204453282302],
             c=0.0,
-            h0=[0.01667024140959712, -0.15774200278163147, 0.01667024140959712,
-                0.24355419001125628],
+            h0=[-0.2477112709270068, 0.6671148880492904, -0.2477112709270068,
+                0.031727504387987146],
             c_bar=0.0,
             k=2,
-            delta=0.554903509343319,
+            delta=0.8294763428848018,
         )
         dyn = Exponential(1.0)
         expected = enumerated_prefix_search(inst, dyn, 3)

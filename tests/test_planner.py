@@ -1,6 +1,7 @@
 """Optimal subset selection, static and stationary."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from teachsel import (
     InvalidInputError,
     ProblemInstance,
     SelectionSequence,
+    Tabulated,
     discounted_baseline_loss,
     optimal_static_subset,
     optimal_stationary_sequence,
@@ -22,7 +24,7 @@ from teachsel import (
 
 from teachsel.planner import top_k_mask
 
-from conftest import random_instance
+from conftest import exact_weight, random_instance, ulps_off
 
 
 class TestOptimalStaticSubset:
@@ -108,6 +110,32 @@ class TestStationaryFeatureValue:
                 expected, abs=1e-4
             )
 
+
+    @pytest.mark.parametrize(
+        "dynamic",
+        [
+            Exponential(0.0),
+            Exponential(1e-9),
+            Exponential(1.0 - 1e-9),
+            Exponential(1.0),
+            Tabulated((1.0, 1.0, 1.0)),
+            Tabulated((1.0, 1.0, 0.5, 0.5), tail_w=1.0 - 1e-9),
+        ],
+        ids=repr,
+    )
+    def test_exact_for_unknown_and_known_features(self, dynamic):
+        """With h0 = 0 a feature is worth only its learning gain, and with
+        h0 = a only its informativeness; both within a few ulps of the
+        rational ``a^2 / (1 - delta) - W * (a - h0)^2``, at every patience."""
+        a = np.array([0.875, -1.3, 0.1])
+        for h0 in (np.zeros(3), a):
+            for delta in (1e-9, 1e-6, 0.5, 1.0 - 1e-9):
+                inst = ProblemInstance(a=a, c=0.0, h0=h0, c_bar=0.0, k=3, delta=delta)
+                weight = exact_weight(dynamic, delta)
+                for got, ai, hi in zip(stationary_values(inst, dynamic), a, h0):
+                    div = (Fraction(ai) - Fraction(hi)) ** 2
+                    exact = Fraction(ai) ** 2 / (1 - Fraction(delta)) - weight * div
+                    assert ulps_off(got, exact) <= 4, (delta, ai, hi)
 
 class TestOptimalStationarySequence:
     def test_fast_learner_prefers_teaching_everything(self, three_feature_instance):

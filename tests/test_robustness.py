@@ -14,7 +14,6 @@ from teachsel import (
     ProblemInstance,
     Tabulated,
     aggregate_gap_bound,
-    discounted_phi_sum,
     margins,
     static_values,
     stationary_values,
@@ -132,7 +131,7 @@ class TestMargins:
             a=[0.3], c=0.0, h0=[0.8], c_bar=0.0, k=1, delta=0.9
         )
         dyn = Exponential(0.5)
-        weight = discounted_phi_sum(dyn, 0.9)
+        weight = 1.0 / (1.0 - 0.9 * 0.5**2)  # sum_t delta^t * w^(2t)
         static = margins(inst, ErrorSpec(ErrorKind.HUMAN_STATIC, 0.2))
         learning = margins(inst, ErrorSpec(ErrorKind.HUMAN_LEARNING, 0.2), dyn)
         np.testing.assert_allclose(

@@ -45,7 +45,10 @@ from conftest import write_scenario
 
 # Names csv must quote or json must escape, and coefficients at the edges of
 # float formatting: tiny, huge, a negative zero, a subnormal square, and
-# |a| > 1e154, whose square overflows to inf and whose value becomes nan.
+# |a| > 1e154, whose square overflows to inf.  The value of the first such
+# feature is inf.  The second one's static value overflows to -inf, and its
+# learning gain on an infinite divergence is inf, so its stationary value
+# becomes nan.
 EDGE_FEATURES = [
     {"name": "comma, inside", "a": 0.5, "h0": 0.1},
     {"name": 'say "hi"', "a": 1e-5, "h0": -0.0},
@@ -53,6 +56,7 @@ EDGE_FEATURES = [
     {"name": "naïve ü 中文", "a": -0.7, "h0": -0.0},
     {"name": "", "a": 1e-160, "h0": 2e-160},
     {"a": 2e154, "h0": 1.0},
+    {"name": "overflow", "a": 2e154, "h0": -1e154},
     {"name": "plain", "a": 0.3, "h0": 0.8},
     {"name": "tie", "a": 0.3, "h0": 0.8},
     {"name": " leading space", "a": 0.25, "h0": -0.2},

@@ -1,6 +1,7 @@
 """Patience thresholds, sweeps, and efficiency-ordering checks."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from teachsel import (
     Tabulated,
     all_switch_points,
     compare_efficiency_selection,
-    discounted_phi_sum,
+    discounted_gain_sum,
     enumerate_optimal_subsets,
     inverse_weight_cdf,
     load_scenario,
     optimal_stationary_sequence,
     sort_marginals_dynamic,
+    static_values,
+    stationary_values,
     subset_informativeness,
     sweep_delta,
     sweep_w_delta_loss_ratio,
@@ -31,10 +34,9 @@ from teachsel.tradeoff import (
     BISECT_MAX_ITER,
     BISECT_TOL,
     _assemble_intervals,
-    learning_weight_cdf,
 )
 
-from conftest import random_instance, select_top_k, write_scenario
+from conftest import exact_gain, random_instance, select_top_k, ulps_off, write_scenario
 
 TWO_FEATURE_THRESHOLD_W0 = 0.6051703877790834  # (2.1275 - 0.84) / 2.1275
 TWO_FEATURE_THRESHOLD_W05 = 0.6714471968709257  # 1.2875 / 1.9175
@@ -106,6 +108,12 @@ class TestSwitchingPoint:
                 assert subset == ((0,) if expect_first else (1,))
 
 
+def learning_weight_cdf(dynamic, delta):
+    """``F(delta) = (1 - delta) * G(delta)``, the function `inverse_weight_cdf`
+    inverts."""
+    return (1.0 - delta) * discounted_gain_sum(dynamic, delta)
+
+
 class TestLearningWeightCdf:
     def test_anchors_and_monotonicity(self):
         for dyn in (Exponential(0.0), Exponential(0.7), Tabulated((1.0, 0.3), tail_w=0.5)):
@@ -114,6 +122,54 @@ class TestLearningWeightCdf:
             assert values[0] == pytest.approx(0.0, abs=1e-6)
             assert values[-1] == pytest.approx(1.0, abs=1e-6)
             assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class TestExactAtTheEdges:
+    """F and its inverse against exact rationals where patience or retention
+    is within 1e-9 of 0 or 1, or the curve is flat."""
+
+    @pytest.mark.parametrize(
+        "dynamic",
+        [
+            Exponential(1e-9),
+            Exponential(1.0 - 1e-9),
+            Tabulated((1.0, 1.0, 0.5), tail_w=1.0 - 1e-9),
+        ],
+        ids=repr,
+    )
+    def test_cdf_is_exact(self, dynamic):
+        for delta in (1e-9, 0.5, 1.0 - 1e-9):
+            exact = (1 - Fraction(delta)) * exact_gain(dynamic, delta)
+            assert ulps_off(learning_weight_cdf(dynamic, delta), exact) <= 4, delta
+
+    def test_geometric_inverse_is_exact_near_full_retention(self):
+        """``1 - w^2 * (1 - t)`` cancels near w = 1; ``(1 - w)(1 + w) + w^2 * t``
+        does not."""
+        w = Fraction(1.0 - 1e-9)
+        for t in (1e-12, 1e-6, 0.5):
+            exact = Fraction(t) / (1 - w * w * (1 - Fraction(t)))
+            got = inverse_weight_cdf(Exponential(float(w)), [t])[0]
+            assert ulps_off(got, exact) <= 4, t
+
+    def test_bisection_on_a_flat_cdf_meets_its_tolerance(self):
+        """Where F is nearly flat in its last bits, the bisection still lands
+        within BISECT_TOL of the exact inverse."""
+        w = Fraction(1.0 - 1e-9)
+        for t in (1e-15, 1e-12):
+            exact = Fraction(t) / (1 - w * w * (1 - Fraction(t)))
+            got = inverse_weight_cdf(Tabulated((1.0,), tail_w=float(w)), [t])[0]
+            assert abs(Fraction(got) - exact) <= BISECT_TOL, t
+
+    def test_a_value_that_vanishes_with_patience_keeps_its_sign(self):
+        """Under a plateau phi = 1, 1, 1 an unknown feature is worth
+        ``delta^3 / (1 - delta)``: 1e-18 at delta = 1e-6, not 0."""
+        inst = ProblemInstance(a=[1.0, 1.0], c=0.0, h0=[0.0, -1.0], c_bar=0.0, k=1, delta=1e-6)
+        dyn = Tabulated((1.0, 1.0, 1.0))
+        d = Fraction(1e-6)
+        assert ulps_off(stationary_values(inst, dyn)[0], d**3 / (1 - d)) <= 4
+        assert optimal_stationary_sequence(inst, dyn).subset == (0,)
+        assert sweep_delta(inst, dyn, [1e-6]).subsets == [(0,)]
+        assert enumerate_optimal_subsets(inst, dyn).subsets == [(0,)]
 
 
 class TestSweepDelta:
@@ -386,7 +442,8 @@ def scalar_bisect(dynamic, target):
 def scalar_inverse(dynamic, target):
     """The closed form under geometric learning, else one scalar bisection."""
     if isinstance(dynamic, Exponential):
-        return target / (1.0 - dynamic.w**2 * (1.0 - target))
+        w = dynamic.w
+        return target / ((1.0 - w) * (1.0 + w) + w**2 * target)
     return scalar_bisect(dynamic, target)
 
 
@@ -414,9 +471,9 @@ def scalar_switch_points(instance, dynamic):
 def scalar_subset_at(instance, dynamic, d):
     """A top-k of the one-row value matrix at patience `d`."""
     deltas = np.array([d])
-    weights = np.asarray(discounted_phi_sum(dynamic, deltas))
-    info, div = instance.informativeness, instance.divergence0
-    values = info[None, :] / (1.0 - deltas)[:, None] - weights[:, None] * div[None, :]
+    gains = np.asarray(discounted_gain_sum(dynamic, deltas))
+    static, div = static_values(instance), instance.divergence0
+    values = static[None, :] / (1.0 - deltas)[:, None] + gains[:, None] * div[None, :]
     return select_top_k(values[0], instance.k)
 
 
@@ -461,9 +518,9 @@ def scalar_enumerate(instance, dynamic):
 def termwise_subset_at(instance, dynamic, d):
     """A top-k of ``v_i = (info_i - div_i + F(d) * div_i) / (1 - d)``.
 
-    ``F(d) = sum_{t>=1} d^t * (phi(t-1) - phi(t))`` is summed term by term,
-    so values that vanish as d -> 0 keep their sign, unlike
-    ``info/(1 - d) - W(d) * div``, which cancels there.
+    ``F(d) = sum_{t>=1} d^t * (phi(t-1) - phi(t))`` is summed term by term
+    from the learning gains, so it shares no code with
+    `discounted_gain_sum`, and values that vanish as d -> 0 keep their sign.
     """
     values, decay = dynamic.table, dynamic.step_decay
     last = len(values) - 1
@@ -646,7 +703,8 @@ class TestColumnsMatchScalarLoops:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        w=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.999)), targets=targets
+        w=st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 1e-9]), st.floats(0.0, 0.999)),
+        targets=targets,
     )
     def test_bisection_meets_the_closed_form(self, w, targets):
         """Bisected on Exponential(w), and on a table with the same weights,
