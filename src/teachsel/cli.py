@@ -52,6 +52,29 @@ class Rows:
     index: np.ndarray | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class Coded:
+    """A report column of a few distinct strings, cell r being
+    ``names[codes[r]]``: each name is encoded once, not once a cell."""
+
+    names: tuple[str, ...]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+
+@dataclass(frozen=True, eq=False)
+class Nullable:
+    """A float report column whose NaN cells are missing: null in JSON and
+    empty in CSV, where other columns write NaN."""
+
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.size
+
+
 def format_subset(subset) -> str:
     """Sorted 1-based indices joined by '+': (1, 2) -> "2+3"."""
     return "+".join(str(i + 1) for i in sorted(subset))
@@ -103,9 +126,17 @@ def _csv_quoted(cells: list[str]) -> list[str]:
 def _csv_column(column):
     """The row-template spec of a CSV column and the function from a row
     range to its cells: a float array's cells are written with 15 significant
-    digits, an int or bool array's with ``str``.  In any other column None is
-    an empty cell, a float is written as in a float array, and anything else
-    with ``str``, each cell quoted as csv quotes it."""
+    digits, an int or bool array's with ``str``, and a `Nullable` column's
+    NaN cells are empty.  In any other column None is an empty cell, a float
+    is written as in a float array, and anything else with ``str``, each
+    cell quoted as csv quotes it."""
+    if isinstance(column, Coded):
+        names = np.array(_csv_quoted(list(column.names)), dtype=object)
+        return "%s", lambda lo, hi: names[column.codes[lo:hi]].tolist()
+    if isinstance(column, Nullable):
+        return "%s", lambda lo, hi: [
+            "" if v != v else CSV_FLOAT % v for v in column.values[lo:hi].tolist()
+        ]
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         spec = {"f": CSV_FLOAT, "b": "%s"}.get(column.dtype.kind, "%d")
         return spec, lambda lo, hi: column[lo:hi].tolist()
@@ -138,18 +169,25 @@ def _csv_chunks(rows: Rows, numbered: str | None = None):
     yield from _blocks(body, columns, length, "\n", "\n")
 
 
-def _json_floats(column: np.ndarray) -> list:
+def _json_floats(column: np.ndarray, nan: str = "NaN") -> list:
     """A float array's cells for a "%s" spec, as ``json.dumps`` writes them:
-    ``str`` of a float is ``float.__repr__``; NaN and infinities are patched."""
+    ``str`` of a float is ``float.__repr__``; NaN, as `nan`, and infinities
+    are patched."""
     cells = column.tolist()
     for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        cells[i] = "NaN" if cells[i] != cells[i] else "Infinity" if cells[i] > 0 else "-Infinity"
+        cells[i] = nan if cells[i] != cells[i] else "Infinity" if cells[i] > 0 else "-Infinity"
     return cells
 
 
 def _json_column(column):
     """The row-template spec of a non-empty JSON column and the function from
     a row range to its cells, as ``json.dumps`` writes them."""
+    if isinstance(column, Coded):
+        encode = json.encoder.encode_basestring_ascii
+        names = np.array([encode(name) for name in column.names], dtype=object)
+        return "%s", lambda lo, hi: names[column.codes[lo:hi]].tolist()
+    if isinstance(column, Nullable):
+        return "%s", lambda lo, hi: _json_floats(column.values[lo:hi], nan="null")
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
         if kind == "b":
@@ -282,8 +320,11 @@ def cmd_switch_points(scenario: Scenario, args) -> int:
         "j": points.j + 1,
         "delta_info": points.delta_info,
         "delta_div": points.delta_div,
-        "kind": points.kind,
-        "threshold": [None if t != t else t for t in points.threshold.tolist()],
+        "kind": Coded(
+            (tradeoff.ALWAYS_PREFERRED, tradeoff.THRESHOLD),
+            np.where(np.isnan(points.threshold), 0, 1),
+        ),
+        "threshold": Nullable(points.threshold),
     }
     rows = Rows(table)
     _emit(args, {"points": rows}, rows)

@@ -10,10 +10,11 @@ Every threshold, under any dynamic, comes from one inverse of the
 learning-weight CDF ``F(delta) = (1 - delta) * G(delta)``, with ``G`` from
 `discounted_gain_sum`: `inverse_weight_cdf`, in closed form under geometric
 learning, by vectorized bisection otherwise.  `all_switch_points` returns
-one `SwitchTable` row per ordered pair, and `enumerate_optimal_subsets`
-probes between consecutive pair and positivity thresholds, labeling the
-levels in blocks of rows (`_top_k_blocks`) instead of a top-k per level.
-`sweep_delta` reads its grid from the same blocks.
+one `SwitchTable` row per ordered pair.  `enumerate_optimal_subsets` builds
+no pair table: in F each feature is a line, and a kinetic sweep
+(`_swap_edges`) visits the swaps of the top k only, O(n) work per event;
+it probes between consecutive swaps, labeling the levels in blocks of rows
+(`_top_k_blocks`).  `sweep_delta` reads its grid from the same blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 60
 # Stationary values per block of probed patience levels.
 PROBE_BLOCK = 1 << 14
+# Boundaries this close in patience are one.
+MERGE_TOL = 1e-12
 ALWAYS_PREFERRED = "always_i"
 THRESHOLD = "threshold"
 
@@ -258,7 +261,7 @@ def _assemble_intervals(
     )
 
 
-def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
     """The points inside (0, 1), sorted, each more than `tol` above the last kept."""
     merged: list[float] = []
     for p in np.sort(points[(points > 0.0) & (points < 1.0)]).tolist():
@@ -267,30 +270,177 @@ def _dedupe(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.array(merged)
 
 
+def _against(info: np.ndarray, div: np.ndarray, ref: int):
+    """Every line ``info - (1 - F)*div`` against line `ref`, as columns.
+
+    `at` is the F of their crossing, ``1 - delta_info/delta_div`` as
+    `_thresholds` writes it, and at most 0 where they do not cross in
+    (0, 1); `rising` marks the more informative lines, which are below
+    `ref` until then.  Equally informative lines meet only at F = 1: the
+    steeper is below, and of identical lines the later one.
+    """
+    gap_info, gap_div = info - info[ref], div - div[ref]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = gap_info / gap_div
+    tied = gap_info == 0.0
+    tied_below = tied & ((gap_div > 0.0) | ((gap_div == 0.0) & (np.arange(info.size) > ref)))
+    return np.where(ratio > 0.0, 1.0 - ratio, -np.inf), gap_info > 0.0, tied, tied_below
+
+
+def _below(against, f: float):
+    """Which lines are below the reference just after F = `f`, and which
+    of them still have their crossing with it ahead."""
+    at, rising, tied, tied_below = against
+    pending = at > f
+    return np.where(tied, tied_below, rising == pending), pending
+
+
+def _swap_edges(info: np.ndarray, div: np.ndarray, k: int) -> np.ndarray:
+    """The F in (0, 1] of every change of the top k of the lines
+    ``info_i - (1 - F)*div_i``, with k zero lines that win ties, so a line
+    must be above zero to be chosen.
+
+    A kinetic sweep from F = 0: `a` is the lowest chosen line and `b` the
+    highest rejected one.  The next event is the earliest of `b` rising
+    above `a` (a swap, the only change of the subset), a chosen line falling
+    below `a`, and a rejected line rising above `b`; each costs O(n).  At an
+    event both are found afresh, stepping to the most extreme line beyond
+    them, and swapped while `b` is above `a`.
+    """
+    if k == 0:
+        return np.empty(0)
+    info = np.concatenate((np.zeros(k), info))
+    div = np.concatenate((np.zeros(k), div))
+    rank = np.lexsort((np.arange(info.size), -div, -(info - div)))
+    chosen = np.zeros(info.size, dtype=bool)
+    chosen[rank[:k]] = True
+    a, b = int(rank[k - 1]), int(rank[k])
+    col_a, col_b = _against(info, div, a), _against(info, div, b)
+    f, edges, swaps, steps = 0.0, [], 0, 0
+    # Rounded crossings can order three lines in a cycle, so at one F the
+    # walks to `a` and `b` take at most n + k steps between swaps, and the
+    # swaps at most n + k.
+    while True:
+        below_a, pending_a = _below(col_a, f)
+        lower = np.flatnonzero(chosen & below_a)
+        if lower.size and steps < info.size:
+            a = int(lower[np.argmin(info[lower] - (1.0 - f) * div[lower])])
+            col_a, steps = _against(info, div, a), steps + 1
+            continue
+        below_b, pending_b = _below(col_b, f)
+        higher = np.flatnonzero(~(chosen | below_b))
+        higher = higher[higher != b]
+        if higher.size and steps < info.size:
+            b = int(higher[np.argmax(info[higher] - (1.0 - f) * div[higher])])
+            col_b, steps = _against(info, div, b), steps + 1
+            continue
+        (at_a, rising_a, *_), (at_b, rising_b, *_) = col_a, col_b
+        if not below_a[b] and swaps < info.size:
+            if rising_a[b] and at_a[b] > 0.0:
+                edges.append(at_a[b])
+            chosen[a], chosen[b] = False, True
+            a, b, col_a, col_b = b, a, col_b, col_a
+            swaps, steps = swaps + 1, 0
+            continue
+        falls = np.where(chosen & pending_a & ~rising_a, at_a, np.inf)
+        rises = np.where(~chosen & pending_b & rising_b, at_b, np.inf)
+        s, r = int(np.argmin(falls)), int(np.argmin(rises))
+        f = min(falls[s], rises[r], at_a[b] if pending_a[b] and rising_a[b] else np.inf)
+        if f == np.inf:
+            return np.array(edges)
+        if falls[s] == f:
+            a, col_a = s, _against(info, div, s)
+        if rises[r] == f:
+            b, col_b = r, _against(info, div, r)
+        swaps = steps = 0
+
+
+def _crossings_near(instance: ProblemInstance, lo: np.ndarray, hi: np.ndarray):
+    """The pair and positivity thresholds, in F, of every window of F
+    [`lo`, `hi`], as `_thresholds` writes them before its inverse.
+
+    Two lines can cross inside a window only if their values at its middle
+    differ by at most half its width times their slope gap, so each window
+    takes the pairs that close from the features sorted by value there.
+    """
+    info, div = instance.informativeness, instance.divergence0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        found = [np.where(info < div, 1.0 - info / div, np.nan)]
+    spread = div.max() - div.min()
+    rounding = 1e-14 * (info.max() + div.max())
+    for f_lo, f_hi in zip(lo.tolist(), hi.tolist()):
+        values = info - (1.0 - 0.5 * (f_lo + f_hi)) * div
+        order = np.argsort(values)
+        ranked = values[order]
+        stop = np.searchsorted(ranked, ranked + (0.5 * (f_hi - f_lo) * spread + rounding), "right")
+        counts = stop - np.arange(1, ranked.size + 1)
+        first = np.repeat(np.arange(ranked.size), counts)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        i, j = order[first], order[second]
+        i, j = np.where(info[i] < info[j], j, i), np.where(info[i] < info[j], i, j)
+        delta_info, delta_div = info[i] - info[j], div[i] - div[j]
+        need = (delta_info > 0.0) & (delta_info < delta_div)
+        found.append(1.0 - delta_info[need] / delta_div[need])
+    found = np.concatenate(found)
+    windows = np.searchsorted(lo, found, "right") - 1
+    return found[(windows >= 0) & (found <= hi[np.maximum(windows, 0)])]
+
+
+def _with_neighbours(
+    instance: ProblemInstance, dynamic: LearningDynamic, edges: np.ndarray
+) -> np.ndarray:
+    """The patience levels of the F `edges`, with every pair and positivity
+    threshold chained to them by gaps of at most `MERGE_TOL`.
+
+    `_dedupe` keeps the first of a run of close points, so a threshold that
+    changes nothing can still stand in for an edge just above it; with its
+    whole run at hand, the merge puts each boundary where merging every
+    threshold puts it.  Each round looks 2 * `MERGE_TOL` around the points
+    it added last, in the F that the inverse's error can reach.
+    """
+    # Sorted arrays and searchsorted, not np.unique: that imports numpy.ma,
+    # a megabyte of peak memory on a path that needs none of it.
+    known = np.sort(edges)
+    points = inverse_weight_cdf(dynamic, known)
+    new = points = np.sort(points[(points > 0.0) & (points < 1.0)])
+    slack = 1e-15 if isinstance(dynamic, Exponential) else 2.0 * BISECT_TOL
+    while new.size:
+        lo, hi = new - 2.0 * MERGE_TOL, new + 2.0 * MERGE_TOL
+        ends = np.clip(np.concatenate((lo - slack, hi + slack)), 1e-300, 1.0 - 1e-16)
+        reach = (1.0 - ends) * discounted_gain_sum(dynamic, ends)
+        f_lo = np.where(lo - slack > 0.0, reach[: new.size] * (1.0 - 1e-9), 0.0)
+        f_hi = np.where(hi + slack < 1.0, reach[new.size :] * (1.0 + 1e-9), 1.0)
+        found = _crossings_near(instance, f_lo, f_hi)
+        found = found[known[np.minimum(np.searchsorted(known, found), known.size - 1)] != found]
+        levels = inverse_weight_cdf(dynamic, found)
+        windows = np.searchsorted(lo, levels, "right") - 1
+        near = (windows >= 0) & (levels <= hi[np.maximum(windows, 0)])
+        known = np.sort(np.concatenate((known, found[near])))
+        new = np.sort(levels[near])
+        points = np.concatenate((points, new))
+    return points
+
+
 def enumerate_optimal_subsets(
     instance: ProblemInstance, dynamic: LearningDynamic
 ) -> IntervalTable:
     """The maximal patience intervals in (0,1) with a constant optimum, as columns.
 
-    The optimum can change only where two features' stationary values cross
-    (the pair thresholds of `all_switch_points`) or where one feature's
-    value crosses zero.  The latter is the threshold equation of a pair
-    against a worthless dummy feature, with gaps ``info_i`` and ``div_i``.
-    Every such boundary comes from `inverse_weight_cdf`, and one blocked
+    Scaled by ``1 - delta``, each feature's stationary value is the line
+    ``static_i + F*div_i`` in ``F = (1 - delta)*G(delta)``, which rises from
+    0 to 1 with patience, so the optimum is the top k of n lines and changes
+    only where the lowest chosen line meets the highest rejected one.
+    `_swap_edges` sweeps F to those swaps alone, a few per k-set change, and
+    one `inverse_weight_cdf` call maps them to patience levels.  One blocked
     probe inside each interval between them labels it, so the partition is
     exact up to the inverse's precision (exact under geometric learning,
     `BISECT_TOL` otherwise).
     """
     if not dynamic.converges():
         raise InvalidInputError("dynamic never converges; values have no limit")
-    _, _, delta_info, delta_div = _pair_columns(instance)
-    candidates = np.concatenate(
-        (
-            _thresholds(dynamic, instance.informativeness, instance.divergence0),
-            _thresholds(dynamic, delta_info, delta_div),
-        )
-    )
-    return _assemble_intervals(instance, dynamic, _dedupe(candidates))
+    edges = _swap_edges(instance.informativeness, instance.divergence0, instance.k)
+    boundaries = _dedupe(_with_neighbours(instance, dynamic, edges))
+    return _assemble_intervals(instance, dynamic, boundaries)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,35 @@ def test_patience_analysis_speed():
     assert elapsed < 0.5, f"patience analysis took {elapsed:.3f}s, over 0.5s"
 
 
+@pytest.mark.parametrize(
+    "dynamic",
+    [Exponential(0.5), Tabulated((1.0, 0.7, 0.5, 0.45), tail_w=0.6)],
+    ids=["geometric", "tabulated"],
+)
+def test_enumeration_speed_at_n_2000(dynamic):
+    """The patience partition at n = 2000, k = 200 in under 0.2 s, best of
+    three: the sweep visits the swaps of the top k, not the 2e6 pair
+    thresholds.
+
+    The bound may be tightened, never loosened.
+    """
+    rng = np.random.default_rng(2000)
+    n = 2000
+    a = rng.normal(0.0, 1.0, n)
+    inst = ProblemInstance(
+        a=a, c=0.0, h0=a + rng.normal(0.0, 0.8, n), c_bar=0.0, k=200, delta=0.9
+    )
+    elapsed = np.inf
+    for _ in range(3):
+        gc.collect()
+        start = time.perf_counter()
+        intervals = enumerate_optimal_subsets(inst, dynamic)
+        elapsed = min(elapsed, time.perf_counter() - start)
+    assert intervals.lo[0] == 0.0 and intervals.hi[-1] == 1.0
+    assert len(intervals) > 10
+    assert elapsed < 0.2, f"enumeration took {elapsed:.3f}s, over 0.2s"
+
+
 def test_misspec_validation_speed():
     """10,000 seeded truth-learning trials at n = 8, k = 3 in under 0.1 s.
 
