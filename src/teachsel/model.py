@@ -152,9 +152,11 @@ def mse(
 def static_values(
     instance: ProblemInstance, h: Sequence[float] | np.ndarray | None = None
 ) -> np.ndarray:
-    """Vector of static per-feature values ``2*a*h - h^2``."""
+    """Vector of static per-feature values ``2*a*h - h^2``, computed as
+    ``h*(2*a - h)``: within two roundings of the exact value, where the
+    expanded form cancels as h nears 2a."""
     hv = as_beliefs(instance, h)
-    return 2.0 * instance.a * hv - hv**2
+    return hv * (2.0 * instance.a - hv)
 
 
 def subset_informativeness(instance: ProblemInstance, subset: Iterable[int]) -> float:

@@ -246,7 +246,7 @@ def _perturbed_values(
         a = a + noise
     elif kind in (ErrorKind.HUMAN_STATIC, ErrorKind.HUMAN_LEARNING):
         h = h + noise
-    static = 2.0 * a * h - h**2
+    static = h * (2.0 * a - h)
     if kind in (ErrorKind.TRUTH_STATIC, ErrorKind.HUMAN_STATIC):
         return static
     gain = _learning_gain(instance, dynamic)

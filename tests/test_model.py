@@ -1,6 +1,7 @@
 """Prediction-loss arithmetic and instance validation."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from teachsel import (
     subset_informativeness,
 )
 
-from conftest import random_instance
+from conftest import random_instance, ulps_off
 
 # mse over every subset of the three-feature demo instance, in
 # (size, lexicographic) order.
@@ -238,7 +239,7 @@ class TestInstanceValidation:
     h_scale=st.floats(min_value=-2.0, max_value=2.0),
 )
 def test_value_identity_property(a, h_scale):
-    """2ah - h^2 always equals a^2 - (a-h)^2."""
+    """h(2a - h) always equals a^2 - (a-h)^2."""
     a_arr = np.asarray(a)
     h = h_scale * a_arr
     inst = ProblemInstance(
@@ -248,3 +249,39 @@ def test_value_identity_property(a, h_scale):
     np.testing.assert_allclose(
         values, a_arr**2 - (a_arr - h) ** 2, atol=1e-12
     )
+
+
+def _exact_static(a: float, h: float) -> Fraction:
+    return Fraction(h) * (2 * Fraction(a) - Fraction(h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=1e-3, max_value=1e3).flatmap(lambda x: st.sampled_from([x, -x])),
+    gap=st.one_of(
+        st.floats(min_value=-1e-3, max_value=1e-3), st.floats(min_value=-1.0, max_value=1.0)
+    ),
+)
+def test_static_value_is_exact_near_h_equal_2a(a, gap):
+    """Within 4 ulps of the rational value of the float inputs, also where
+    h is near 2a and ``2ah - h^2`` cancels."""
+    h = 2.0 * a * (1.0 + gap)
+    inst = ProblemInstance(a=[a], c=0.0, h0=[h], c_bar=0.0, k=1, delta=0.5)
+    assert ulps_off(float(static_values(inst)[0]), _exact_static(a, h)) <= 4
+
+
+def test_familiar_feature_static_value_is_exact():
+    """two_features' familiar feature: ``2ah - h^2`` gave 0.03750000000000009,
+    about 4 ulps above the rational value of the float inputs."""
+    inst = ProblemInstance(a=[0.4], c=0.0, h0=[0.75], c_bar=0.0, k=1, delta=0.5)
+    value = float(static_values(inst)[0])
+    assert ulps_off(value, _exact_static(0.4, 0.75)) <= 0.5
+    assert value == 0.03750000000000003
+
+
+def test_static_value_of_a_huge_aligned_belief_is_inf():
+    """At a = h0 = 1e200 the static value a^2 overflows to inf; the expanded
+    form computed inf - inf = nan."""
+    inst = ProblemInstance(a=[1e200], c=0.0, h0=[1e200], c_bar=0.0, k=1, delta=0.5)
+    with np.errstate(over="ignore"):
+        assert static_values(inst).tolist() == [np.inf]
