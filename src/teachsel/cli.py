@@ -320,10 +320,7 @@ def cmd_switch_points(scenario: Scenario, args) -> int:
         "j": points.j + 1,
         "delta_info": points.delta_info,
         "delta_div": points.delta_div,
-        "kind": Coded(
-            (tradeoff.ALWAYS_PREFERRED, tradeoff.THRESHOLD),
-            np.where(np.isnan(points.threshold), 0, 1),
-        ),
+        "kind": Coded(points.KINDS, points.kind_codes),
         "threshold": Nullable(points.threshold),
     }
     rows = Rows(table)

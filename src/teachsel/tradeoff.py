@@ -60,9 +60,16 @@ class SwitchTable:
     delta_div: np.ndarray
     threshold: np.ndarray
 
+    # The names of `kind_codes`: a NaN threshold is `ALWAYS_PREFERRED`.
+    KINDS = (ALWAYS_PREFERRED, THRESHOLD)
+
+    @property
+    def kind_codes(self) -> np.ndarray:
+        return np.where(np.isnan(self.threshold), 0, 1)
+
     @property
     def kind(self) -> list[str]:
-        return np.where(np.isnan(self.threshold), ALWAYS_PREFERRED, THRESHOLD).tolist()
+        return [self.KINDS[c] for c in self.kind_codes.tolist()]
 
 
 def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
@@ -95,6 +102,13 @@ def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _crossing(delta_info: np.ndarray, delta_div: np.ndarray) -> np.ndarray:
+    """The F at which the more informative of two lines
+    ``info - (1 - F)*div`` overtakes the other, from their gaps: in (0, 1)
+    where ``0 < delta_info < delta_div``."""
+    return 1.0 - delta_info / delta_div
+
+
 def _thresholds(
     dynamic: LearningDynamic, delta_info: np.ndarray, delta_div: np.ndarray
 ) -> np.ndarray:
@@ -106,7 +120,7 @@ def _thresholds(
             raise InvalidInputError(
                 "dynamic never converges; the threshold equation has no solution"
             )
-        out[need] = inverse_weight_cdf(dynamic, 1.0 - delta_info[need] / delta_div[need])
+        out[need] = inverse_weight_cdf(dynamic, _crossing(delta_info[need], delta_div[need]))
     return out
 
 
@@ -273,18 +287,17 @@ def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
 def _against(info: np.ndarray, div: np.ndarray, ref: int):
     """Every line ``info - (1 - F)*div`` against line `ref`, as columns.
 
-    `at` is the F of their crossing, ``1 - delta_info/delta_div`` as
-    `_thresholds` writes it, and at most 0 where they do not cross in
-    (0, 1); `rising` marks the more informative lines, which are below
-    `ref` until then.  Equally informative lines meet only at F = 1: the
-    steeper is below, and of identical lines the later one.
+    `at` is the F of their `_crossing`, and at most 0 where they do not
+    cross in (0, 1); `rising` marks the more informative lines, which are
+    below `ref` until then.  Equally informative lines meet only at F = 1:
+    the steeper is below, and of identical lines the later one.
     """
     gap_info, gap_div = info - info[ref], div - div[ref]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = gap_info / gap_div
+        at = np.where(gap_info / gap_div > 0.0, _crossing(gap_info, gap_div), -np.inf)
     tied = gap_info == 0.0
     tied_below = tied & ((gap_div > 0.0) | ((gap_div == 0.0) & (np.arange(info.size) > ref)))
-    return np.where(ratio > 0.0, 1.0 - ratio, -np.inf), gap_info > 0.0, tied, tied_below
+    return at, gap_info > 0.0, tied, tied_below
 
 
 def _below(against, f: float):
@@ -317,25 +330,26 @@ def _swap_edges(info: np.ndarray, div: np.ndarray, k: int) -> np.ndarray:
     a, b = int(rank[k - 1]), int(rank[k])
     col_a, col_b = _against(info, div, a), _against(info, div, b)
     f, edges, swaps, steps = 0.0, [], 0, 0
-    # Rounded crossings can order three lines in a cycle, so at one F the
-    # walks to `a` and `b` take at most n + k steps between swaps, and the
-    # swaps at most n + k.
     while True:
+        # Rounded crossings could order three lines in a cycle; between
+        # swaps no walk needs more than n + k steps, nor one F more swaps.
+        if steps > info.size or swaps > info.size:
+            raise RuntimeError(f"the sweep at F = {f!r} does not settle")
         below_a, pending_a = _below(col_a, f)
         lower = np.flatnonzero(chosen & below_a)
-        if lower.size and steps < info.size:
+        if lower.size:
             a = int(lower[np.argmin(info[lower] - (1.0 - f) * div[lower])])
             col_a, steps = _against(info, div, a), steps + 1
             continue
         below_b, pending_b = _below(col_b, f)
         higher = np.flatnonzero(~(chosen | below_b))
         higher = higher[higher != b]
-        if higher.size and steps < info.size:
+        if higher.size:
             b = int(higher[np.argmax(info[higher] - (1.0 - f) * div[higher])])
             col_b, steps = _against(info, div, b), steps + 1
             continue
         (at_a, rising_a, *_), (at_b, rising_b, *_) = col_a, col_b
-        if not below_a[b] and swaps < info.size:
+        if not below_a[b]:
             if rising_a[b] and at_a[b] > 0.0:
                 edges.append(at_a[b])
             chosen[a], chosen[b] = False, True
@@ -355,72 +369,6 @@ def _swap_edges(info: np.ndarray, div: np.ndarray, k: int) -> np.ndarray:
         swaps = steps = 0
 
 
-def _crossings_near(instance: ProblemInstance, lo: np.ndarray, hi: np.ndarray):
-    """The pair and positivity thresholds, in F, of every window of F
-    [`lo`, `hi`], as `_thresholds` writes them before its inverse.
-
-    Two lines can cross inside a window only if their values at its middle
-    differ by at most half its width times their slope gap, so each window
-    takes the pairs that close from the features sorted by value there.
-    """
-    info, div = instance.informativeness, instance.divergence0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        found = [np.where(info < div, 1.0 - info / div, np.nan)]
-    spread = div.max() - div.min()
-    rounding = 1e-14 * (info.max() + div.max())
-    for f_lo, f_hi in zip(lo.tolist(), hi.tolist()):
-        values = info - (1.0 - 0.5 * (f_lo + f_hi)) * div
-        order = np.argsort(values)
-        ranked = values[order]
-        stop = np.searchsorted(ranked, ranked + (0.5 * (f_hi - f_lo) * spread + rounding), "right")
-        counts = stop - np.arange(1, ranked.size + 1)
-        first = np.repeat(np.arange(ranked.size), counts)
-        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        i, j = order[first], order[second]
-        i, j = np.where(info[i] < info[j], j, i), np.where(info[i] < info[j], i, j)
-        delta_info, delta_div = info[i] - info[j], div[i] - div[j]
-        need = (delta_info > 0.0) & (delta_info < delta_div)
-        found.append(1.0 - delta_info[need] / delta_div[need])
-    found = np.concatenate(found)
-    windows = np.searchsorted(lo, found, "right") - 1
-    return found[(windows >= 0) & (found <= hi[np.maximum(windows, 0)])]
-
-
-def _with_neighbours(
-    instance: ProblemInstance, dynamic: LearningDynamic, edges: np.ndarray
-) -> np.ndarray:
-    """The patience levels of the F `edges`, with every pair and positivity
-    threshold chained to them by gaps of at most `MERGE_TOL`.
-
-    `_dedupe` keeps the first of a run of close points, so a threshold that
-    changes nothing can still stand in for an edge just above it; with its
-    whole run at hand, the merge puts each boundary where merging every
-    threshold puts it.  Each round looks 2 * `MERGE_TOL` around the points
-    it added last, in the F that the inverse's error can reach.
-    """
-    # Sorted arrays and searchsorted, not np.unique: that imports numpy.ma,
-    # a megabyte of peak memory on a path that needs none of it.
-    known = np.sort(edges)
-    points = inverse_weight_cdf(dynamic, known)
-    new = points = np.sort(points[(points > 0.0) & (points < 1.0)])
-    slack = 1e-15 if isinstance(dynamic, Exponential) else 2.0 * BISECT_TOL
-    while new.size:
-        lo, hi = new - 2.0 * MERGE_TOL, new + 2.0 * MERGE_TOL
-        ends = np.clip(np.concatenate((lo - slack, hi + slack)), 1e-300, 1.0 - 1e-16)
-        reach = (1.0 - ends) * discounted_gain_sum(dynamic, ends)
-        f_lo = np.where(lo - slack > 0.0, reach[: new.size] * (1.0 - 1e-9), 0.0)
-        f_hi = np.where(hi + slack < 1.0, reach[new.size :] * (1.0 + 1e-9), 1.0)
-        found = _crossings_near(instance, f_lo, f_hi)
-        found = found[known[np.minimum(np.searchsorted(known, found), known.size - 1)] != found]
-        levels = inverse_weight_cdf(dynamic, found)
-        windows = np.searchsorted(lo, levels, "right") - 1
-        near = (windows >= 0) & (levels <= hi[np.maximum(windows, 0)])
-        known = np.sort(np.concatenate((known, found[near])))
-        new = np.sort(levels[near])
-        points = np.concatenate((points, new))
-    return points
-
-
 def enumerate_optimal_subsets(
     instance: ProblemInstance, dynamic: LearningDynamic
 ) -> IntervalTable:
@@ -430,16 +378,17 @@ def enumerate_optimal_subsets(
     ``static_i + F*div_i`` in ``F = (1 - delta)*G(delta)``, which rises from
     0 to 1 with patience, so the optimum is the top k of n lines and changes
     only where the lowest chosen line meets the highest rejected one.
-    `_swap_edges` sweeps F to those swaps alone, a few per k-set change, and
-    one `inverse_weight_cdf` call maps them to patience levels.  One blocked
-    probe inside each interval between them labels it, so the partition is
-    exact up to the inverse's precision (exact under geometric learning,
-    `BISECT_TOL` otherwise).
+    `_swap_edges` sweeps F to those swaps alone, and one
+    `inverse_weight_cdf` call maps them to patience levels; swaps closer
+    than `MERGE_TOL` there are one boundary.  One blocked probe inside each
+    interval between boundaries labels it, so the partition is exact up to
+    the inverse's precision (exact under geometric learning, `BISECT_TOL`
+    otherwise).
     """
     if not dynamic.converges():
         raise InvalidInputError("dynamic never converges; values have no limit")
     edges = _swap_edges(instance.informativeness, instance.divergence0, instance.k)
-    boundaries = _dedupe(_with_neighbours(instance, dynamic, edges))
+    boundaries = _dedupe(inverse_weight_cdf(dynamic, edges))
     return _assemble_intervals(instance, dynamic, boundaries)
 
 
