@@ -530,7 +530,7 @@ def all_thresholds(instance, dynamic):
 def scalar_enumerate(instance, dynamic):
     """Full probing: every interval between distinct thresholds probed in
     exact rationals.  The thresholds where the optimum changes are merged
-    and labelled as the library merges and labels its swaps."""
+    and labeled as the library merges and labels its swaps."""
     points = sorted(set(all_thresholds(instance, dynamic)))
     edges = [0.0] + points + [1.0]
     mids = [min(max(0.5 * (lo + hi), np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
