@@ -31,7 +31,7 @@ from .dynamics import (
     is_more_efficient,
 )
 from .errors import InvalidInputError
-from .model import FeatureSubset, ProblemInstance, subset_informativeness
+from .model import FeatureSubset, ProblemInstance, static_values, subset_informativeness
 from .planner import optimal_stationary_sequence, stationary_values, top_k_mask
 
 BISECT_TOL = 1e-10
@@ -40,6 +40,8 @@ BISECT_MAX_ITER = 60
 PROBE_BLOCK = 1 << 14
 # Boundaries this close in patience are one.
 MERGE_TOL = 1e-12
+# Below this F, ``1 - delta_info/delta_div`` has lost at least half its bits.
+CANCELS_BELOW = 2.0**-26
 ALWAYS_PREFERRED = "always_i"
 THRESHOLD = "threshold"
 
@@ -102,30 +104,45 @@ def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _crossing(delta_info: np.ndarray, delta_div: np.ndarray) -> np.ndarray:
-    """The F at which the more informative of two lines
-    ``info - (1 - F)*div`` overtakes the other, from their gaps: in (0, 1)
-    where ``0 < delta_info < delta_div``."""
-    return 1.0 - delta_info / delta_div
+def _crossing(
+    delta_info: np.ndarray, delta_div: np.ndarray, delta_static: np.ndarray
+) -> np.ndarray:
+    """The F at which two lines ``static + F*div`` cross, from their gaps.
+
+    ``1 - delta_info/delta_div``, except below `CANCELS_BELOW`, where
+    ``delta_div - delta_info`` cancels and ``-delta_static/delta_div``, at
+    least 0, is taken: the static values ``h*(2a - h)`` are within two
+    roundings.  Above it the two agree to rounding, and the first keeps
+    the reported thresholds' bits.
+    """
+    at = 1.0 - delta_info / delta_div
+    return np.where(at < CANCELS_BELOW, np.maximum(-delta_static / delta_div, 0.0), at)
 
 
 def _thresholds(
-    dynamic: LearningDynamic, delta_info: np.ndarray, delta_div: np.ndarray
+    dynamic: LearningDynamic,
+    delta_info: np.ndarray,
+    delta_div: np.ndarray,
+    delta_static: np.ndarray,
 ) -> np.ndarray:
-    """Each pair's threshold under `dynamic`; NaN where ``delta_info >= delta_div``."""
-    need = ~(delta_info >= delta_div)
+    """Each pair's threshold under `dynamic`; NaN where its `_crossing`
+    is not in (0, 1), as where ``delta_info >= delta_div``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = _crossing(delta_info, delta_div, delta_static)
+    need = (delta_div > 0.0) & (at > 0.0)
     out = np.full(delta_info.shape, np.nan)
     if need.any():
         if not dynamic.converges():
             raise InvalidInputError(
                 "dynamic never converges; the threshold equation has no solution"
             )
-        out[need] = inverse_weight_cdf(dynamic, _crossing(delta_info[need], delta_div[need]))
+        out[need] = inverse_weight_cdf(dynamic, at[need])
     return out
 
 
 def _pair_columns(instance: ProblemInstance):
-    """Ordered pairs as columns `i`, `j`, `delta_info`, `delta_div`.
+    """Ordered pairs as columns `i`, `j`, `delta_info`, `delta_div`,
+    `delta_static`.
 
     The unordered pairs ``i < j`` in row-major order, without the equally
     informative ones (they have no ordered comparison); each row then puts
@@ -133,12 +150,13 @@ def _pair_columns(instance: ProblemInstance):
     """
     info = instance.informativeness
     div = instance.divergence0
+    static = static_values(instance)
     i, j = np.triu_indices(instance.n, 1)
     distinct = info[i] != info[j]
     i, j = i[distinct], j[distinct]
     swap = info[i] < info[j]
     i, j = np.where(swap, j, i), np.where(swap, i, j)
-    return i, j, info[i] - info[j], div[i] - div[j]
+    return i, j, info[i] - info[j], div[i] - div[j], static[i] - static[j]
 
 
 def all_switch_points(instance: ProblemInstance, dynamic: LearningDynamic) -> SwitchTable:
@@ -147,13 +165,13 @@ def all_switch_points(instance: ProblemInstance, dynamic: LearningDynamic) -> Sw
     All thresholds come from one `inverse_weight_cdf` call.  A dynamic that
     never converges is an error only when some pair needs a threshold.
     """
-    i, j, delta_info, delta_div = _pair_columns(instance)
+    i, j, delta_info, delta_div, delta_static = _pair_columns(instance)
     return SwitchTable(
         i=i,
         j=j,
         delta_info=delta_info,
         delta_div=delta_div,
-        threshold=_thresholds(dynamic, delta_info, delta_div),
+        threshold=_thresholds(dynamic, delta_info, delta_div, delta_static),
     )
 
 
@@ -284,34 +302,39 @@ def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
     return np.array(merged)
 
 
-def _against(info: np.ndarray, div: np.ndarray, ref: int):
-    """Every line ``info - (1 - F)*div`` against line `ref`, as columns.
+def _against(lines, ref: int):
+    """Every line ``static + F*div`` of `lines`, the columns `info`,
+    `static` and `div`, against line `ref`, as columns.
 
-    `at` is the F of their `_crossing`, and at most 0 where they do not
-    cross in (0, 1); `rising` marks the more informative lines, which are
-    below `ref` until then.  Equally informative lines meet only at F = 1:
-    the steeper is below, and of identical lines the later one.
+    `at` is the F of their `_crossing`, infinite where that is 1 or more
+    or the lines are parallel.  A steeper line is below `ref` until `at`
+    and a flatter one from `at` on; of parallel lines the lower static
+    value is below, and of identical lines the later one.
     """
-    gap_info, gap_div = info - info[ref], div - div[ref]
+    info, static, div = lines
+    gap_static, gap_div = static - static[ref], div - div[ref]
     with np.errstate(divide="ignore", invalid="ignore"):
-        at = np.where(gap_info / gap_div > 0.0, _crossing(gap_info, gap_div), -np.inf)
-    tied = gap_info == 0.0
-    tied_below = tied & ((gap_div > 0.0) | ((gap_div == 0.0) & (np.arange(info.size) > ref)))
-    return at, gap_info > 0.0, tied, tied_below
+        at = _crossing(info - info[ref], gap_div, gap_static)
+    parallel = gap_div == 0.0
+    parallel_below = parallel & (
+        (gap_static < 0.0) | ((gap_static == 0.0) & (np.arange(info.size) > ref))
+    )
+    at = np.where(parallel | ~(at < 1.0), np.inf, at)
+    return at, gap_div > 0.0, parallel, parallel_below
 
 
 def _below(against, f: float):
     """Which lines are below the reference just after F = `f`, and which
     of them still have their crossing with it ahead."""
-    at, rising, tied, tied_below = against
+    at, steeper, parallel, parallel_below = against
     pending = at > f
-    return np.where(tied, tied_below, rising == pending), pending
+    return np.where(parallel, parallel_below, steeper == pending), pending
 
 
-def _swap_edges(info: np.ndarray, div: np.ndarray, k: int) -> np.ndarray:
-    """The F in (0, 1] of every change of the top k of the lines
-    ``info_i - (1 - F)*div_i``, with k zero lines that win ties, so a line
-    must be above zero to be chosen.
+def _swap_edges(info: np.ndarray, static: np.ndarray, div: np.ndarray, k: int) -> np.ndarray:
+    """The F in (0, 1) of every change of the top k of the lines
+    ``static_i + F*div_i`` (``info_i = static_i + div_i``), with k zero
+    lines that win ties, so a line must be above zero to be chosen.
 
     A kinetic sweep from F = 0: `a` is the lowest chosen line and `b` the
     highest rejected one.  The next event is the earliest of `b` rising
@@ -322,13 +345,12 @@ def _swap_edges(info: np.ndarray, div: np.ndarray, k: int) -> np.ndarray:
     """
     if k == 0:
         return np.empty(0)
-    info = np.concatenate((np.zeros(k), info))
-    div = np.concatenate((np.zeros(k), div))
-    rank = np.lexsort((np.arange(info.size), -div, -(info - div)))
+    lines = info, static, div = [np.concatenate((np.zeros(k), col)) for col in (info, static, div)]
+    rank = np.lexsort((np.arange(info.size), -div, -static))
     chosen = np.zeros(info.size, dtype=bool)
     chosen[rank[:k]] = True
     a, b = int(rank[k - 1]), int(rank[k])
-    col_a, col_b = _against(info, div, a), _against(info, div, b)
+    col_a, col_b = _against(lines, a), _against(lines, b)
     f, edges, swaps, steps = 0.0, [], 0, 0
     while True:
         # Rounded crossings could order three lines in a cycle; between
@@ -338,34 +360,34 @@ def _swap_edges(info: np.ndarray, div: np.ndarray, k: int) -> np.ndarray:
         below_a, pending_a = _below(col_a, f)
         lower = np.flatnonzero(chosen & below_a)
         if lower.size:
-            a = int(lower[np.argmin(info[lower] - (1.0 - f) * div[lower])])
-            col_a, steps = _against(info, div, a), steps + 1
+            a = int(lower[np.argmin(static[lower] + f * div[lower])])
+            col_a, steps = _against(lines, a), steps + 1
             continue
         below_b, pending_b = _below(col_b, f)
         higher = np.flatnonzero(~(chosen | below_b))
         higher = higher[higher != b]
         if higher.size:
-            b = int(higher[np.argmax(info[higher] - (1.0 - f) * div[higher])])
-            col_b, steps = _against(info, div, b), steps + 1
+            b = int(higher[np.argmax(static[higher] + f * div[higher])])
+            col_b, steps = _against(lines, b), steps + 1
             continue
-        (at_a, rising_a, *_), (at_b, rising_b, *_) = col_a, col_b
+        (at_a, steeper_a, *_), (at_b, steeper_b, *_) = col_a, col_b
         if not below_a[b]:
-            if rising_a[b] and at_a[b] > 0.0:
+            if steeper_a[b] and at_a[b] > 0.0:
                 edges.append(at_a[b])
             chosen[a], chosen[b] = False, True
             a, b, col_a, col_b = b, a, col_b, col_a
             swaps, steps = swaps + 1, 0
             continue
-        falls = np.where(chosen & pending_a & ~rising_a, at_a, np.inf)
-        rises = np.where(~chosen & pending_b & rising_b, at_b, np.inf)
+        falls = np.where(chosen & pending_a & ~steeper_a, at_a, np.inf)
+        rises = np.where(~chosen & pending_b & steeper_b, at_b, np.inf)
         s, r = int(np.argmin(falls)), int(np.argmin(rises))
-        f = min(falls[s], rises[r], at_a[b] if pending_a[b] and rising_a[b] else np.inf)
+        f = min(falls[s], rises[r], at_a[b] if pending_a[b] and steeper_a[b] else np.inf)
         if f == np.inf:
             return np.array(edges)
         if falls[s] == f:
-            a, col_a = s, _against(info, div, s)
+            a, col_a = s, _against(lines, s)
         if rises[r] == f:
-            b, col_b = r, _against(info, div, r)
+            b, col_b = r, _against(lines, r)
         swaps = steps = 0
 
 
@@ -387,7 +409,9 @@ def enumerate_optimal_subsets(
     """
     if not dynamic.converges():
         raise InvalidInputError("dynamic never converges; values have no limit")
-    edges = _swap_edges(instance.informativeness, instance.divergence0, instance.k)
+    edges = _swap_edges(
+        instance.informativeness, static_values(instance), instance.divergence0, instance.k
+    )
     boundaries = _dedupe(inverse_weight_cdf(dynamic, edges))
     return _assemble_intervals(instance, dynamic, boundaries)
 

@@ -33,6 +33,7 @@ from teachsel.cli import main
 from teachsel.tradeoff import (
     BISECT_MAX_ITER,
     BISECT_TOL,
+    CANCELS_BELOW,
     _assemble_intervals,
 )
 
@@ -264,6 +265,18 @@ class TestEnumerateOptimalSubsets:
         assert intervals.subsets[-1] == (0,)
         assert intervals.subsets[0] == ()
 
+    def test_a_sweep_that_does_not_settle_raises(self, two_feature_instance, monkeypatch):
+        """Crossings that put every line below every other, as a cycle of
+        rounded crossings would, end the sweep with an error, not with
+        swaps left out."""
+        monkeypatch.setattr(
+            tradeoff,
+            "_below",
+            lambda against, f: (np.ones(against[0].size, bool), np.zeros(against[0].size, bool)),
+        )
+        with pytest.raises(RuntimeError, match="does not settle"):
+            enumerate_optimal_subsets(two_feature_instance, Exponential(0.5))
+
     def test_high_patience_end_is_most_informative(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -422,8 +435,10 @@ class TestCompareEfficiencySelection:
 # The scalar loops that the columnar thresholds and blocked probes replaced,
 # kept as oracles: every threshold must match bit for bit, and so must every
 # boundary and subset of the sweep against full probing between all pair
-# thresholds (`scalar_enumerate`).  The grid scan that exact enumeration
-# replaced stays as an independent one.
+# crossings (`scalar_enumerate`): with the float crossings on any input, and
+# in exact rationals as well on the quarter lattice, where no two distinct
+# crossings round together.  The grid scan that exact enumeration replaced
+# stays as an independent one.
 # ---------------------------------------------------------------------------
 
 
@@ -449,10 +464,17 @@ def scalar_inverse(dynamic, target):
     return scalar_bisect(dynamic, target)
 
 
-def scalar_switch_points(instance, dynamic):
-    """(i, j, delta_info, delta_div, threshold or None), one pair at a time,
-    the more informative feature first."""
-    info, div = instance.informativeness, instance.divergence0
+def scalar_crossing(delta_info, delta_div, delta_static):
+    """``1 - delta_info/delta_div``, from the static values near F = 0."""
+    at = 1.0 - delta_info / delta_div
+    return max(-delta_static / delta_div, 0.0) if at < CANCELS_BELOW else at
+
+
+def scalar_pairs(instance):
+    """(i, j, delta_info, delta_div, crossing or None), one pair at a time,
+    the more informative feature first, with the F in (0, 1) where the
+    two lines cross."""
+    info, div, static = instance.informativeness, instance.divergence0, static_values(instance)
     rows = []
     for i in range(instance.n):
         for j in range(i + 1, instance.n):
@@ -461,12 +483,20 @@ def scalar_switch_points(instance, dynamic):
             hi, lo = (i, j) if info[i] > info[j] else (j, i)
             delta_info = float(info[hi] - info[lo])
             delta_div = float(div[hi] - div[lo])
-            threshold = None
-            if delta_info < delta_div:
-                if not dynamic.converges():
-                    raise InvalidInputError("dynamic never converges")
-                threshold = scalar_inverse(dynamic, 1.0 - delta_info / delta_div)
-            rows.append((hi, lo, delta_info, delta_div, threshold))
+            delta_static = float(static[hi] - static[lo])
+            at = scalar_crossing(delta_info, delta_div, delta_static) if delta_div > 0.0 else 0.0
+            rows.append((hi, lo, delta_info, delta_div, at if at > 0.0 else None))
+    return rows
+
+
+def scalar_switch_points(instance, dynamic):
+    """(i, j, delta_info, delta_div, threshold or None), one pair at a time."""
+    rows = []
+    for i, j, delta_info, delta_div, at in scalar_pairs(instance):
+        if at is not None and not dynamic.converges():
+            raise InvalidInputError("dynamic never converges")
+        threshold = None if at is None else scalar_inverse(dynamic, at)
+        rows.append((i, j, delta_info, delta_div, threshold))
     return rows
 
 
@@ -505,39 +535,78 @@ def scalar_assemble(instance, dynamic, boundaries, subset_at=scalar_subset_at):
     return intervals
 
 
-def exact_subset_at(instance, dynamic, d):
-    """The top-k of the stationary values at patience `d` in exact rationals."""
-    gain, keep = exact_gain(dynamic, d), 1 - Fraction(d)
-    values = []
-    for x, h in zip(map(Fraction, instance.a.tolist()), map(Fraction, instance.h0.tolist())):
-        values.append(h * (2 * x - h) / keep + gain * (x - h) ** 2)
+def exact_top_k(instance, values):
     ranked = sorted(range(instance.n), key=lambda i: (-values[i], i))
     return tuple(sorted(i for i in ranked[: instance.k] if values[i] > 0))
 
 
+def exact_lines(instance):
+    """Each feature's static value and divergence, in exact rationals."""
+    pairs = zip(map(Fraction, instance.a.tolist()), map(Fraction, instance.h0.tolist()))
+    return [(h * (2 * x - h), (x - h) ** 2) for x, h in pairs]
+
+
+def exact_subset_at(instance, dynamic, d):
+    """The top-k of the stationary values at patience `d` in exact rationals."""
+    gain, keep = exact_gain(dynamic, d), 1 - Fraction(d)
+    return exact_top_k(instance, [s / keep + gain * v for s, v in exact_lines(instance)])
+
+
+def all_crossings(instance):
+    """Every positivity and pair crossing in (0, 1) of F, sorted, once each."""
+    info, div, static = instance.informativeness, instance.divergence0, static_values(instance)
+    found = [
+        scalar_crossing(float(info[i]), float(div[i]), float(static[i]))
+        for i in range(instance.n)
+        if div[i] > 0.0
+    ]
+    found += [at for *_, at in scalar_pairs(instance) if at is not None]
+    return sorted({at for at in found if 0.0 < at < 1.0})
+
+
 def all_thresholds(instance, dynamic):
     """Every positivity and pair threshold, in (0, 1)."""
-    info, div = instance.informativeness, instance.divergence0
-    candidates = [
-        scalar_inverse(dynamic, 1.0 - float(info[i]) / float(div[i]))
-        for i in range(instance.n)
-        if div[i] > info[i]
-    ]
-    candidates += [t for *_, t in scalar_switch_points(instance, dynamic) if t is not None]
-    return [t for t in candidates if 0.0 < t < 1.0]
+    return [t for t in (scalar_inverse(dynamic, at) for at in all_crossings(instance)) if t < 1.0]
 
 
-def scalar_enumerate(instance, dynamic):
-    """Full probing: every interval between distinct thresholds probed in
-    exact rationals.  The thresholds where the optimum changes are merged
-    and labeled as the library merges and labels its swaps."""
-    points = sorted(set(all_thresholds(instance, dynamic)))
-    edges = [0.0] + points + [1.0]
-    mids = [min(max(0.5 * (lo + hi), np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
-            for lo, hi in zip(edges, edges[1:])]
-    labels = [exact_subset_at(instance, dynamic, float(mid)) for mid in mids]
-    changes = [p for p, before, after in zip(points, labels, labels[1:]) if before != after]
-    return scalar_assemble(instance, dynamic, scalar_dedupe(changes))
+def float_top_k(instance, lo, hi):
+    """The top-k on (`lo`, `hi`) of F, which holds no crossing: each line
+    ``static + F*div`` ranked against every other by which side of their
+    float crossing it lies, with k zero lines ahead of the features."""
+    k = instance.k
+    info = [0.0] * k + instance.informativeness.tolist()
+    div = [0.0] * k + instance.divergence0.tolist()
+    static = [0.0] * k + static_values(instance).tolist()
+
+    def above(x, y):
+        gap_div, gap_static = div[x] - div[y], static[x] - static[y]
+        if gap_div == 0.0:
+            return gap_static > 0.0 or (gap_static == 0.0 and x < y)
+        at = scalar_crossing(info[x] - info[y], gap_div, gap_static)
+        return (gap_div > 0.0) != (at > lo)
+
+    lines = range(len(info))
+    beaten = [sum(above(y, x) for y in lines if y != x) for x in lines]
+    return tuple(x - k for x in lines[k:] if beaten[x] < k)
+
+
+def exact_top_k_in_f(instance, lo, hi):
+    """The top-k in the middle of (`lo`, `hi`) of F in exact rationals."""
+    mid = (Fraction(lo) + Fraction(hi)) / 2
+    return exact_top_k(instance, [s + mid * v for s, v in exact_lines(instance)])
+
+
+def scalar_enumerate(instance, dynamic, top_k=float_top_k):
+    """Full probing in F: `top_k` on each interval between distinct
+    crossings.  The crossings where the optimum changes are mapped to
+    patience levels, then merged and labeled as the library merges and
+    labels its swaps."""
+    crossings = all_crossings(instance)
+    edges = [0.0, *crossings, 1.0]
+    labels = [top_k(instance, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    changes = [at for at, before, after in zip(crossings, labels, labels[1:]) if before != after]
+    levels = [scalar_inverse(dynamic, at) for at in changes]
+    return scalar_assemble(instance, dynamic, scalar_dedupe(levels))
 
 
 def merged_probe_enumerate(instance, dynamic):
@@ -547,18 +616,20 @@ def merged_probe_enumerate(instance, dynamic):
 
 
 def termwise_subset_at(instance, dynamic, d):
-    """A top-k of ``v_i = (info_i - div_i + F(d) * div_i) / (1 - d)``.
+    """A top-k of ``v_i = (h_i*(2*a_i - h_i) + F(d) * div_i) / (1 - d)``.
 
     ``F(d) = sum_{t>=1} d^t * (phi(t-1) - phi(t))`` is summed term by term
     from the learning gains, so it shares no code with
     `discounted_gain_sum`, and values that vanish as d -> 0 keep their sign.
+    The static part is not ``info_i - div_i``, which cancels where the two
+    nearly agree.
     """
     values, decay = dynamic.table, dynamic.step_decay
     last = len(values) - 1
     cdf = sum(d**t * (values[t - 1] - values[t]) for t in range(1, last + 1))
     cdf += d ** (last + 1) * values[-1] * (1.0 - decay) / (1.0 - d * decay)
-    info, div = instance.informativeness, instance.divergence0
-    return select_top_k((info - div + cdf * div) / (1.0 - d), instance.k)
+    a, h = instance.a, instance.h0
+    return select_top_k((h * (2.0 * a - h) + cdf * (a - h) ** 2) / (1.0 - d), instance.k)
 
 
 def scalar_grid_enumerate(instance, dynamic, resolution=1e-6):
@@ -769,8 +840,9 @@ class TestColumnsMatchScalarLoops:
     def test_lattice_intervals(self, instance, dynamic):
         """Exact ties, crossings that meet at one level, and boundaries
         closer than `MERGE_TOL`."""
-        intervals = enumerate_optimal_subsets(instance, dynamic)
-        assert hexed(interval_rows(intervals)) == hexed(scalar_enumerate(instance, dynamic))
+        got = hexed(interval_rows(enumerate_optimal_subsets(instance, dynamic)))
+        assert got == hexed(scalar_enumerate(instance, dynamic))
+        assert got == hexed(scalar_enumerate(instance, dynamic, exact_top_k_in_f))
 
     # Where the sweep and full probing differ from enumeration as it was
     # before the sweep, which merged every threshold before probing.
@@ -804,32 +876,33 @@ class TestColumnsMatchScalarLoops:
         dynamic = Tabulated((1.0,), tail_w=0.0)
         intervals = enumerate_optimal_subsets(instance, dynamic)
         assert interval_rows(intervals) == [(0.0, 1.0, (2,))]
-        assert scalar_enumerate(instance, dynamic) == [(0.0, 1.0, (2,))]
+        assert scalar_enumerate(instance, dynamic, exact_top_k_in_f) == [(0.0, 1.0, (2,))]
         (_, _, first), (lo, hi, second) = merged_probe_enumerate(instance, dynamic)
         assert (first, second) == ((2,), (1,))
         assert exact_subset_at(instance, dynamic, 0.5 * (lo + hi)) == (2,)
 
-    def test_a_cancelling_threshold_misplaces_a_swap(self):
-        """Not mended: at F = 0 feature 4's value is 1e-15 from those of
-        features 0 and 1, which tie in floats, so ``1 - delta_info/delta_div``
-        cancels for its pairs, and the swap that takes it in lands at
-        1.44e-6, past the exact change between 1.15e-6 and 1.25e-6.  Full
-        probing finds the change in the stretch below and puts it at the
-        threshold that opens it, 1.11e-6."""
+    def test_a_crossing_near_zero_comes_from_the_static_values(self):
+        """At F = 0 feature 4's value is 1e-15 from those of features 0 and
+        1, which tie in floats, so ``1 - delta_info/delta_div`` cancels for
+        its pairs and would put the swap that takes feature 4 in at 1.44e-6.
+        The exact change lies between 1.15e-6 and 1.25e-6, and so does the
+        crossing of the static values."""
         instance = ProblemInstance(
             a=[-1.0, 1.0, -0.1, -1.0, 1.5, 0.5], c=0.0,
             h0=[1e-300, 1e-300, 0.0, 1e-300, -1e-15, 1e-15], c_bar=0.0, k=2, delta=0.5,
         )
         dynamic = Tabulated((1.0,), tail_w=1.0 - 1e-9)
         rows = interval_rows(enumerate_optimal_subsets(instance, dynamic))
-        expected = scalar_enumerate(instance, dynamic)
-        assert [s for *_, s in rows] == [s for *_, s in expected] == [(0, 5), (0, 1), (0, 4)]
-        table = all_switch_points(instance, dynamic)
-        assert rows[1][1] == table.threshold[(table.i == 4) & (table.j == 1)][0]
+        assert hexed(rows) == hexed(scalar_enumerate(instance, dynamic, exact_top_k_in_f))
+        assert [s for *_, s in rows] == [(0, 5), (0, 1), (0, 4)]
         assert exact_subset_at(instance, dynamic, 1.15e-6) == (0, 1)
         assert exact_subset_at(instance, dynamic, 1.25e-6) == (1, 4)
-        assert expected[1][1] == merged_probe_enumerate(instance, dynamic)[1][1]
-        assert 1.1e-6 < expected[1][1] < 1.15e-6
+        assert 1.15e-6 < rows[1][1] < 1.25e-6
+        table = all_switch_points(instance, dynamic)
+        row = (table.i == 4) & (table.j == 1)
+        assert table.threshold[row][0] == rows[1][1]
+        cancelled = 1.0 - table.delta_info[row] / table.delta_div[row]
+        assert inverse_weight_cdf(dynamic, cancelled)[0] > 1.4e-6
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -851,6 +924,13 @@ class TestColumnsMatchScalarLoops:
     # Each scalar grid scan probes about 8,000 levels one by one.
     @settings(max_examples=8, deadline=None)
     @given(instance=instances(max_n=4), dynamic=tabulated())
+    @example(  # a crossing at F = 2.1e-14, which 1 - dI/dD puts 2.2e-6 early in patience
+        instance=ProblemInstance(
+            a=[1.0, 1.0, 0.75, 0.5625], c=0.0, h0=[1.0, 1.0, 0.0, 4.66833161e-15], c_bar=0.0,
+            k=3, delta=0.5,
+        ),
+        dynamic=Tabulated((1.0,) * 5, tail_w=0.0),
+    )
     def test_grid_intervals(self, instance, dynamic):
         assert_near_grid(instance, dynamic, enumerate_optimal_subsets(instance, dynamic))
 
