@@ -536,6 +536,7 @@ def scalar_assemble(instance, dynamic, boundaries, subset_at=scalar_subset_at):
 
 
 def exact_top_k(instance, values):
+    """The up-to-k largest positive `values`, ties toward the lower index."""
     ranked = sorted(range(instance.n), key=lambda i: (-values[i], i))
     return tuple(sorted(i for i in ranked[: instance.k] if values[i] > 0))
 
@@ -610,8 +611,9 @@ def scalar_enumerate(instance, dynamic, top_k=float_top_k):
 
 
 def merged_probe_enumerate(instance, dynamic):
-    """Enumeration as it was before the sweep: every threshold merged within
-    1e-12 first, and each interval between them probed in floats."""
+    """The merge rule before the sweep: every positivity and pair threshold
+    merged within 1e-12 first, then each interval between them probed in
+    floats."""
     return scalar_assemble(instance, dynamic, scalar_dedupe(all_thresholds(instance, dynamic)))
 
 
