@@ -9,8 +9,9 @@ grids, and enumerates every subset that is optimal somewhere in (0, 1).
 Every threshold, under any dynamic, comes from one inverse of the
 learning-weight CDF ``F(delta) = (1 - delta) * G(delta)``, with ``G`` from
 `discounted_gain_sum`: `inverse_weight_cdf`, in closed form under geometric
-learning, by vectorized bisection otherwise.  `all_switch_points` returns
-one `SwitchTable` row per ordered pair.  `enumerate_optimal_subsets` builds
+learning, by vectorized bisection otherwise, of the F where two features'
+lines cross (`_crossing`).  `all_switch_points` returns one `SwitchTable`
+row per ordered pair.  `enumerate_optimal_subsets` builds
 no pair table: in F each feature is a line, and a kinetic sweep
 (`_swap_edges`) visits the swaps of the top k only, O(n) work per event;
 it probes between consecutive swaps, labeling the levels in blocks of rows
