@@ -98,6 +98,18 @@ def _learning_gain(
     return discounted_gain_sum(dynamic, instance.delta)
 
 
+def _learning_weight(instance: ProblemInstance, dynamic: LearningDynamic | None) -> float:
+    """``W = sum_t delta^t phi(t)``, the discounted weight left on the
+    divergence, summed from its own nonnegative terms: the table's, then the
+    tail ``phi(L) w^2 delta^(L+1) / ((1 - delta) + delta(1 - w)(1 + w))``.
+    ``1/(1 - delta) - G`` is the same number but cancels as delta -> 1."""
+    _learning_gain(instance, dynamic)  # only to insist on a dynamic
+    d, table, w = instance.delta, dynamic.table, dynamic.tail_retention
+    last = len(table) - 1
+    head = sum(d**t * phi for t, phi in enumerate(table))
+    return head + table[-1] * (w * w) * d ** (last + 1) / ((1.0 - d) + d * ((1.0 - w) * (1.0 + w)))
+
+
 def margins(
     instance: ProblemInstance,
     spec: ErrorSpec,
@@ -131,8 +143,7 @@ def _margins(instance, spec, dynamic) -> MarginReport:
 
     if spec.kind is ErrorKind.HUMAN_LEARNING:
         _check_cap(eps, gap, "epsilon_i <= |h0_i - a_i|")
-        # The discounted weight sum_t delta^t phi(t) left on the divergence.
-        weight = 1.0 / (1.0 - instance.delta) - _learning_gain(instance, dynamic)
+        weight = _learning_weight(instance, dynamic)
         linear = 2.0 * eps * gap
         return MarginReport(
             spec.kind,

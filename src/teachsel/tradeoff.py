@@ -9,8 +9,9 @@ grids, and enumerates every subset that is optimal somewhere in (0, 1).
 Every threshold, under any dynamic, comes from one inverse of the
 learning-weight CDF ``F(delta) = (1 - delta) * G(delta)``, with ``G`` from
 `discounted_gain_sum`: `inverse_weight_cdf`, in closed form under geometric
-learning, by vectorized bisection otherwise, of the F where two features'
-lines cross (`_crossing`).  `all_switch_points` returns one `SwitchTable`
+learning, otherwise by a vectorized Newton iteration on F's closed form
+(`_weight_cdf_and_slope`), of the F where two features' lines cross
+(`_crossing`).  `all_switch_points` returns one `SwitchTable`
 row per ordered pair.  `enumerate_optimal_subsets` builds
 no pair table: in F each feature is a line, and a kinetic sweep
 (`_swap_edges`) visits the swaps of the top k only, O(n) work per event;
@@ -28,15 +29,17 @@ from .dynamics import (
     Efficiency,
     Exponential,
     LearningDynamic,
-    discounted_gain_sum,
     is_more_efficient,
 )
 from .errors import InvalidInputError
 from .model import FeatureSubset, ProblemInstance, static_values, subset_informativeness
 from .planner import optimal_stationary_sequence, stationary_values, top_k_mask
 
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 60
+# `inverse_weight_cdf` reads F at these patience levels to start from,
+# and gives up after this many Newton steps.
+START_GRID = np.arange(1, 65) / 64.0
+NEWTON_MAX_ITER = 64
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 # Stationary values per block of probed patience levels.
 PROBE_BLOCK = 1 << 14
 # Boundaries this close in patience are one.
@@ -75,6 +78,39 @@ class SwitchTable:
         return [self.KINDS[c] for c in self.kind_codes.tolist()]
 
 
+def _weight_cdf_and_slope(dynamic: LearningDynamic, delta: np.ndarray):
+    """``F(delta)`` and ``F'(delta)`` under a table dynamic, in one Horner pass.
+
+    ``F(delta) = sum_{t=1..L} psi_t delta^t + c delta^(L+1) / (1 - w^2 delta)``
+    with ``psi_t = phi(t-1) - phi(t) >= 0`` and ``c = phi(L)(1 - w^2)``.  The
+    tail enters as ``c / ((1 - delta)/delta + (1 - w)(1 + w))`` and is left
+    out where c is 0, as at w = 1 with phi(L) = 0.  Every term is
+    nonnegative and every operation rounds monotonically, so the computed F
+    never falls as delta rises.  ``F'`` uses
+    ``1 - w^2 delta = (1 - delta) + delta(1 - w)(1 + w)``.
+    """
+    table, w = dynamic.table, dynamic.tail_retention
+    decay_gap = (1.0 - w) * (1.0 + w)
+    coef = table[-1] * decay_gap
+    f = slope = 0.0
+    if coef:
+        f = coef / ((1.0 - delta) / delta + decay_gap)
+        rest = (1.0 - delta) + delta * decay_gap
+        slope = coef / (rest * rest)
+    for lead, after in zip(table[-2::-1], table[:0:-1]):
+        inner = (lead - after) + f
+        f, slope = delta * inner, inner + delta * slope
+    return f, slope
+
+
+def _newton_step(delta, f, slope, target):
+    """Newton's step toward ``F = target`` in ``log F`` against
+    ``log delta``, which is convex: ``delta * (target/F)^(F/(delta*F'))``.
+    NaN where F or F' underflowed to 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return delta * np.exp(np.log(target / f) * (f / (delta * slope)))
+
+
 def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
     """The delta with ``F(delta) == target`` for each of a 1-d array of
     `targets` in (0, 1).  ``F(delta) = (1 - delta) * G(delta)``, the
@@ -83,26 +119,50 @@ def inverse_weight_cdf(dynamic: LearningDynamic, targets) -> np.ndarray:
 
     Under geometric learning ``F(delta) = delta(1 - w^2)/(1 - delta*w^2)``
     inverts exactly to ``t / ((1 - w)(1 + w) + w^2*t)``.  Any other dynamic
-    is bisected from the bracket [0, 1] (F(0) = 0 and F(1) = 1 for
-    convergent dynamics), on every element at once.  Each element takes the
-    steps a scalar loop would, and stops once its bracket is narrower than
-    `BISECT_TOL`, or after `BISECT_MAX_ITER` steps.
+    gets the least float delta at which `_weight_cdf_and_slope`'s F reaches
+    the target, held between the smallest normal float (below which F has
+    no relative precision) and ``F(1)``.  That F is within a few ulps and
+    ``delta*F'/F >= 1``, so delta is within a few ulps of the root; and as
+    F never falls, a larger target never gets a smaller delta.
+
+    It is found by Newton steps in ``log F`` against ``log delta``, where F,
+    a sum of powers of delta with nonnegative weights, is convex: started
+    at or below the root, they overshoot once and then fall to it.  The
+    start is the chord of F between two `START_GRID` levels, which is at or
+    below the root, or below the first level the power law with F's slope
+    there.  Each element keeps a bracket ``F(lo) < target <= F(hi)``: a step
+    outside it is held inside, a NaN step (F underflowed to 0) bisects its
+    bit patterns, and the element is done when lo and hi are neighbouring
+    floats, after about 4 steps (about 20 where w is within 1e-9 of 1).
+    RuntimeError after `NEWTON_MAX_ITER` steps.
     """
     targets = np.asarray(targets, dtype=float)
     if isinstance(dynamic, Exponential):
         w = dynamic.w
         return targets / ((1.0 - w) * (1.0 + w) + w**2 * targets)
-    lo = np.zeros(targets.shape)
-    hi = np.ones(targets.shape)
-    for _ in range(BISECT_MAX_ITER):
-        live = np.flatnonzero(~(hi - lo < BISECT_TOL))
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        below = (1.0 - mid) * discounted_gain_sum(dynamic, mid) < targets[live]
-        lo[live[below]] = mid[below]
-        hi[live[~below]] = mid[~below]
-    return 0.5 * (lo + hi)
+    grid_f, grid_slope = _weight_cdf_and_slope(dynamic, START_GRID)
+    targets = np.clip(targets, _SMALLEST_NORMAL, grid_f[-1])
+    above = np.searchsorted(grid_f, targets)
+    lo = np.where(above > 0, START_GRID[above - 1], np.nextafter(_SMALLEST_NORMAL, 0.0))
+    hi = START_GRID[above]
+    delta = np.where(
+        above > 0,
+        np.interp(targets, grid_f, START_GRID),
+        _newton_step(START_GRID[0], grid_f[0], grid_slope[0], targets),
+    )
+    for _ in range(NEWTON_MAX_ITER):
+        delta = np.minimum(np.maximum(delta, np.nextafter(lo, 1.0)), np.nextafter(hi, 0.0))
+        lost = np.isnan(delta)
+        if lost.any():
+            bits = (lo[lost].view(np.int64) + hi[lost].view(np.int64)) // 2
+            delta[lost] = bits.view(np.float64)
+        f, slope = _weight_cdf_and_slope(dynamic, delta)
+        reached = f >= targets
+        lo, hi = np.where(reached, lo, delta), np.where(reached, delta, hi)
+        if np.all(np.nextafter(lo, 1.0) >= hi):
+            return hi
+        delta = _newton_step(delta, f, slope, targets)
+    raise RuntimeError(f"the inverse of F does not settle in {NEWTON_MAX_ITER} steps")
 
 
 def _crossing(
@@ -405,8 +465,8 @@ def enumerate_optimal_subsets(
     `inverse_weight_cdf` call maps them to patience levels; swaps closer
     than `MERGE_TOL` there are one boundary.  One blocked probe inside each
     interval between boundaries labels it, so the partition is exact up to
-    the inverse's precision (exact under geometric learning, `BISECT_TOL`
-    otherwise).
+    the inverse's precision (exact under geometric learning, a few ulps of
+    delta otherwise).
     """
     if not dynamic.converges():
         raise InvalidInputError("dynamic never converges; values have no limit")

@@ -145,13 +145,17 @@ def test_criterion_3_switching_point(record):
         delta_div = delta_info + float(rng.uniform(0.01, 2.0))
         w = float(rng.uniform(0.0, 0.95))
         target = [1.0 - delta_info / delta_div]
-        # Same weights as Exponential(w), but bisected.
-        bisected = inverse_weight_cdf(Tabulated((1.0,), tail_w=w), target)[0]
+        # Same weights as Exponential(w), but inverted by the table's Newton steps.
+        newton = inverse_weight_cdf(Tabulated((1.0,), tail_w=w), target)[0]
         exact = inverse_weight_cdf(Exponential(w), target)[0]
-        if abs(bisected - exact) > 1e-9:
+        if abs(newton - exact) > 4 * 2.0**-52 * exact:
             agree = False
             break
-    record(3, "switch point 0.605170(+-1e-6); bisection == closed form to 1e-9", anchor_ok and agree)
+    record(
+        3,
+        "switch point 0.605170(+-1e-6); table Newton inverse == closed form to 4 ulps",
+        anchor_ok and agree,
+    )
 
 
 def test_criterion_4_transition_curve(record):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsel import robustness
 from teachsel import (
@@ -21,7 +23,7 @@ from teachsel import (
 )
 from teachsel.robustness import _perturbed_values
 
-from conftest import random_instance, select_top_k
+from conftest import exact_weight, random_instance, select_top_k, ulps_off
 
 ALL_KINDS = list(ErrorKind)
 
@@ -140,6 +142,26 @@ class TestMargins:
         np.testing.assert_allclose(
             learning.upper_margin, weight * static.upper_margin, atol=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gap=st.floats(1e-9, 1e-6),
+        w=st.floats(0.0, 0.9),
+        table=st.one_of(
+            st.just(None), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)
+        ),
+    )
+    def test_human_learning_weight_is_exact_near_full_patience(self, gap, w, table):
+        """``W = sum_t delta^t phi(t)`` stays near 1 for a fast learner while
+        ``1/(1 - delta)`` and G grow without bound; summed from its own
+        terms it is within 4 ulps at delta = 1 - gap."""
+        if table is None:
+            dyn = Exponential(w)
+        else:
+            dyn = Tabulated((1.0, *sorted(table, reverse=True)), tail_w=w)
+        inst = ProblemInstance(a=[0.3], c=0.0, h0=[0.8], c_bar=0.0, k=1, delta=1.0 - gap)
+        weight = robustness._learning_weight(inst, dyn)
+        assert ulps_off(weight, exact_weight(dyn, inst.delta)) <= 4
 
     def test_precondition_violations_are_hard_errors(self, three_feature_instance):
         # feature 1 has h == a, so any positive epsilon is out of range

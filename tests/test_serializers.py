@@ -247,7 +247,7 @@ def test_header_only_table():
     assert json_text({"kind": "x", "rows": Rows(table)}) == expected
 
 
-def test_csv_writer_is_within_1_8x_of_float_formatting():
+def test_csv_writer_is_within_1_3x_of_float_formatting():
     # Float formatting is the floor of a plan report's CSV; everything else
     # the writer does (the other columns, quoting, joining) must stay under
     # 0.3 of it.  The two sides take turns and each keeps its best of 3, so

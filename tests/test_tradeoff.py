@@ -1,7 +1,9 @@
 """Patience thresholds, sweeps, and efficiency-ordering checks."""
 
 import json
+import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,12 +32,7 @@ from teachsel import (
     tradeoff,
 )
 from teachsel.cli import main
-from teachsel.tradeoff import (
-    BISECT_MAX_ITER,
-    BISECT_TOL,
-    CANCELS_BELOW,
-    _assemble_intervals,
-)
+from teachsel.tradeoff import CANCELS_BELOW, _assemble_intervals
 
 from conftest import exact_gain, random_instance, select_top_k, ulps_off, write_scenario
 
@@ -53,8 +50,8 @@ class TestSwitchingPoint:
         table = all_switch_points(two_feature_instance, Exponential(0.5))
         assert table.threshold[0] == pytest.approx(TWO_FEATURE_THRESHOLD_W05, abs=1e-12)
 
-    def test_bisection_agrees_with_closed_form(self, two_feature_instance):
-        # The table has the weights of Exponential(w) but is bisected.
+    def test_tabulated_copy_agrees_with_closed_form(self, two_feature_instance):
+        # The table has the weights of Exponential(w) but is inverted by Newton steps.
         for w in (0.0, 0.3, 0.5, 0.9):
             got = all_switch_points(two_feature_instance, Tabulated((1.0,), tail_w=w))
             want = all_switch_points(two_feature_instance, Exponential(w))
@@ -152,14 +149,14 @@ class TestExactAtTheEdges:
             got = inverse_weight_cdf(Exponential(float(w)), [t])[0]
             assert ulps_off(got, exact) <= 4, t
 
-    def test_bisection_on_a_flat_cdf_meets_its_tolerance(self):
-        """Where F is nearly flat in its last bits, the bisection still lands
-        within BISECT_TOL of the exact inverse."""
+    def test_table_inverse_on_a_flat_cdf_is_exact(self):
+        """Where F is nearly flat in its last bits, the table's inverse still
+        lands within 4 ulps of the exact one."""
         w = Fraction(1.0 - 1e-9)
-        for t in (1e-15, 1e-12):
+        for t in (1e-15, 1e-12, 0.5, 1.0 - 1e-12):
             exact = Fraction(t) / (1 - w * w * (1 - Fraction(t)))
             got = inverse_weight_cdf(Tabulated((1.0,), tail_w=float(w)), [t])[0]
-            assert abs(Fraction(got) - exact) <= BISECT_TOL, t
+            assert ulps_off(got, exact) <= 4, t
 
     def test_a_value_that_vanishes_with_patience_keeps_its_sign(self):
         """Under a plateau phi = 1, 1, 1 an unknown feature is worth
@@ -171,6 +168,111 @@ class TestExactAtTheEdges:
         assert optimal_stationary_sequence(inst, dyn).subset == (0,)
         assert sweep_delta(inst, dyn, [1e-6]).subsets == [(0,)]
         assert enumerate_optimal_subsets(inst, dyn).subsets == [(0,)]
+
+
+def exact_weight_cdf(dynamic, d):
+    """``F(d) = sum_t d^t * psi_t`` in exact rationals, with the geometric
+    tail in closed form where ``phi(L)(1 - w^2)`` is not 0."""
+    d, w = Fraction(d), Fraction(dynamic.tail_retention)
+    table = [Fraction(v) for v in dynamic.table]
+    last = len(table) - 1
+    head = sum(((table[t - 1] - table[t]) * d**t for t in range(1, last + 1)), Fraction(0))
+    coef = table[-1] * (1 - w * w)
+    return head + coef * d ** (last + 1) / (1 - w * w * d) if coef else head
+
+
+@st.composite
+def newton_tables(draw):
+    """Tables with plateaus, psi_1 = 0 or phi(L) = 0, and a tail_w of 0,
+    1 - 1e-9, any below 0.999, or 1 where phi(L) = 0.  `Tabulated` refuses
+    tail_w = 1, so that case is a plain stand-in with a table and a
+    retention, which is all the inverse reads."""
+    values = [1.0]
+    if draw(st.booleans()):
+        values.append(1.0)
+    for step in draw(st.lists(st.floats(0.0, 1.0), max_size=5)):
+        values.append(values[-1] * step if draw(st.booleans()) else values[-1])
+    if draw(st.booleans()):
+        values.append(0.0)
+    full = [1.0] if values[-1] == 0.0 else []
+    tail_w = draw(st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, *full]), st.floats(0.0, 0.999)))
+    if tail_w == 1.0:
+        return SimpleNamespace(table=tuple(values), tail_retention=1.0)
+    return Tabulated(tuple(values), tail_w=tail_w)
+
+
+class TestNewtonInverse:
+    """The table inverse against exact rationals: each level is within 4
+    ulps of the root, or F there is within 4 ulps of the target."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dynamic=newton_tables(),
+        targets=st.lists(
+            st.one_of(
+                st.sampled_from([1e-300, 1e-150, 1e-12, 0.5, 1.0 - 1e-12]),
+                st.floats(1e-300, 1.0 - 1e-12),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_levels_are_exact_and_sorted(self, dynamic, targets):
+        targets = sorted(targets)
+        levels = inverse_weight_cdf(dynamic, np.array(targets)).tolist()
+        assert all(b >= a for a, b in zip(levels, levels[1:]))
+        ulp = Fraction(2) ** -52
+        for t, d in zip(targets, levels):
+            near_root = (
+                exact_weight_cdf(dynamic, Fraction(d) * (1 - 4 * ulp))
+                <= Fraction(t)
+                <= exact_weight_cdf(dynamic, min(Fraction(d) * (1 + 4 * ulp), Fraction(1)))
+            )
+            assert near_root or ulps_off(t, exact_weight_cdf(dynamic, d)) <= 4, (t, d)
+
+    def test_a_power_that_changes_far_below_the_grid(self):
+        """``F = 2^-52 delta^2 + (1 - 2^-52) delta^3`` is a cube at the first
+        grid level and a square below 1e-16, where the power-law start lies
+        far above the root; Newton in ``log delta`` still lands on it."""
+        dynamic = Tabulated((1.0, 1.0, 1.0 - 2.0**-52, 0.0))
+        for t in (1e-300, 1e-100, 1e-50):
+            d = inverse_weight_cdf(dynamic, [t])[0]
+            assert ulps_off(t, exact_weight_cdf(dynamic, d)) <= 4, t
+
+    def test_a_long_plateau_that_underflows_on_the_grid(self):
+        """Under ``F = delta^200``, F is 0 in floats at the first grid level
+        and 2^-1000 at the second, so a target of 1e-305 starts just above
+        the first, where F is 0 too; the step from there is NaN and bisects
+        the bracket instead."""
+        dynamic = Tabulated((1.0,) * 200 + (0.0,))
+        targets = [1e-305, 1e-300, 1e-20, 0.5]
+        levels = inverse_weight_cdf(dynamic, targets).tolist()
+        ulp = Fraction(2) ** -52
+        for t, d in zip(targets, levels):
+            assert (Fraction(d) * (1 - 4 * ulp)) ** 200 <= Fraction(t), t
+            assert Fraction(t) <= (Fraction(d) * (1 + 4 * ulp)) ** 200, t
+
+    def test_a_crossing_far_below_1e_10_keeps_its_level(self):
+        """Under ``F = delta^2`` the swap that takes feature 2 in at
+        F = 4.27e-76 lies at delta = 2.07e-38, in the enumeration and in the
+        switch table alike; an absolute tolerance put it at 2.9e-11."""
+        instance = ProblemInstance(
+            a=[1.0, 0.5, 1.0, 1.0, 1.0], c=0.0, h0=[1.0, 3.2e-76, -1.2e-38, 1.0, 0.0],
+            c_bar=0.0, k=3, delta=0.5,
+        )
+        dynamic = Tabulated((1.0, 1.0), tail_w=0.0)
+        intervals = enumerate_optimal_subsets(instance, dynamic)
+        assert intervals.subsets[0] == (0, 1, 3)
+        edge = intervals.hi[0]
+        table = all_switch_points(instance, dynamic)
+        row = (table.i == 4) & (table.j == 1)
+        assert table.threshold[row][0] == edge
+        # The lines cross at F = 4.27e-76, from the static values.
+        static = static_values(instance)
+        at = Fraction((static[1] - static[4]) / table.delta_div[row][0])
+        ulp = Fraction(2) ** -52
+        assert (Fraction(edge) * (1 - 4 * ulp)) ** 2 <= at <= (Fraction(edge) * (1 + 4 * ulp)) ** 2
+        assert 2.06e-38 < edge < 2.07e-38
 
 
 class TestSweepDelta:
@@ -302,17 +404,17 @@ class TestEnumerateOptimalSubsets:
             assert all(left != right for left, right in zip(subsets, subsets[1:]))
 
     def test_tabulated_copy_matches_geometric(self, two_feature_instance):
-        """A tabulated copy of geometric learning, bisected, must find the
-        closed-form boundary."""
+        """A tabulated copy of geometric learning, inverted by Newton steps,
+        must find the closed-form boundary."""
         w = 0.5
         tab = Tabulated(
             tuple(w ** (2 * m) for m in range(8)), tail_w=w
         )
         exact = enumerate_optimal_subsets(two_feature_instance, Exponential(w))
-        bisected = enumerate_optimal_subsets(two_feature_instance, tab)
-        assert exact.subsets == bisected.subsets
-        np.testing.assert_allclose(bisected.lo, exact.lo, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(bisected.hi, exact.hi, rtol=0, atol=1e-9)
+        newton = enumerate_optimal_subsets(two_feature_instance, tab)
+        assert exact.subsets == newton.subsets
+        np.testing.assert_allclose(newton.lo, exact.lo, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(newton.hi, exact.hi, rtol=0, atol=1e-9)
 
     def test_a_value_that_vanishes_at_zero_patience_still_labels_its_interval(self):
         # h0 = 0 makes info == div, so the value info*delta*(1 - w^2) /
@@ -442,8 +544,14 @@ class TestCompareEfficiencySelection:
 # ---------------------------------------------------------------------------
 
 
+# The coarse oracle's bracket width and step limit.
+BISECT_TOL = 1e-10
+BISECT_MAX_ITER = 60
+SMALLEST_NORMAL = np.finfo(float).smallest_normal
+
+
 def scalar_bisect(dynamic, target):
-    """One bisection of the learning-weight cdf."""
+    """One bisection of the learning-weight cdf from [0, 1], to `BISECT_TOL`."""
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_MAX_ITER):
         if hi - lo < BISECT_TOL:
@@ -456,12 +564,50 @@ def scalar_bisect(dynamic, target):
     return 0.5 * (lo + hi)
 
 
+def scalar_weight_cdf(dynamic, d):
+    """F(d) under a table dynamic, one level at a time, with the library's
+    float operations: the tail ``c / ((1 - d)/d + (1 - w)(1 + w))``, then
+    ``d * (psi_t + f)`` from the last learning gain down."""
+    table, w = dynamic.table, dynamic.tail_retention
+    decay_gap = (1.0 - w) * (1.0 + w)
+    coef = table[-1] * decay_gap
+    f = coef / ((1.0 - d) / d + decay_gap) if coef else 0.0
+    for t in range(len(table) - 1, 0, -1):
+        f = d * ((table[t - 1] - table[t]) + f)
+    return f
+
+
+def float_bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def scalar_least_level(dynamic, target):
+    """The least float at which `scalar_weight_cdf` reaches `target`, held
+    between the smallest normal float and F(1), found by bisecting the bit
+    patterns of the positive floats; it shares no search code with the
+    library's Newton steps."""
+    target = min(max(target, SMALLEST_NORMAL), scalar_weight_cdf(dynamic, 1.0))
+    lo, hi = float_bits(SMALLEST_NORMAL) - 1, float_bits(1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if scalar_weight_cdf(dynamic, bits_float(mid)) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return bits_float(hi)
+
+
 def scalar_inverse(dynamic, target):
-    """The closed form under geometric learning, else one scalar bisection."""
+    """The closed form under geometric learning, else the least float level
+    at which the computed F reaches the target."""
     if isinstance(dynamic, Exponential):
         w = dynamic.w
         return target / ((1.0 - w) * (1.0 + w) + w**2 * target)
-    return scalar_bisect(dynamic, target)
+    return scalar_least_level(dynamic, target)
 
 
 def scalar_crossing(delta_info, delta_div, delta_static):
@@ -912,8 +1058,8 @@ class TestColumnsMatchScalarLoops:
         targets=targets,
     )
     def test_bisection_meets_the_closed_form(self, w, targets):
-        """Bisected on Exponential(w), and on a table with the same weights,
-        each inverse lands within 1e-9 of the closed form."""
+        """The coarse bisection on Exponential(w), and the Newton inverse of a
+        table with the same weights, each land within 1e-9 of the closed form."""
         targets = np.array(targets, dtype=float)
         exact = inverse_weight_cdf(Exponential(w), targets)
         np.testing.assert_allclose(
